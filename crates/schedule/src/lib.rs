@@ -23,7 +23,7 @@ mod pipeline;
 mod plan;
 mod template;
 
-pub use phases::{stage_times, StageStreams};
+pub use phases::{stage_times, stage_times_of, StageStreams};
 pub use pipeline::{averaged_objective, mist_objective, stable_only_objective};
 pub use plan::{IterationSchedule, StageMemory, StagePlan, StageTask, StreamSeconds, TrainingPlan};
 pub use template::{overlap_template, OverlapSlot, SlotOp, TemplatePhase};

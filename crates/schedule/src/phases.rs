@@ -21,10 +21,29 @@ pub struct StageStreams {
 /// point (Eq. 5/6). Interference is applied *within* each phase: forward
 /// transfers overlap forward compute, never backward compute.
 pub fn stage_times(point: &StagePoint, model: &InterferenceModel) -> StageStreams {
+    stage_times_of(
+        point.fwd,
+        point.bwd,
+        point.first_extra,
+        point.last_extra,
+        model,
+    )
+}
+
+/// [`stage_times`] over the four stream quadruples alone, for callers
+/// that hold evaluated stream columns rather than a [`StagePoint`]. The
+/// arithmetic is the same, so the result is bit-identical.
+pub fn stage_times_of(
+    fwd: [f64; 4],
+    bwd: [f64; 4],
+    first_extra: [f64; 4],
+    last_extra: [f64; 4],
+    model: &InterferenceModel,
+) -> StageStreams {
     let i = |streams: [f64; 4]| model.predict(StagePoint::interference_tuple(streams));
-    let t = i(point.fwd) + i(point.bwd);
-    let first = add(point.fwd, point.first_extra);
-    let last = add(point.bwd, point.last_extra);
+    let t = i(fwd) + i(bwd);
+    let first = add(fwd, first_extra);
+    let last = add(bwd, last_extra);
     let d = (i(first) + i(last) - t).max(0.0);
     StageStreams { t, d }
 }

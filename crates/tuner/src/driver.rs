@@ -484,6 +484,14 @@ impl<'a> Tuner<'a> {
         if superinstrs > 0.0 {
             collector.gauge_set("symbolic.program.superinstrs", superinstrs);
         }
+        if compile_hits + compile_misses > 0 {
+            // Wall-clock, so published through the collector only:
+            // telemetry-off outcomes (and their byte-identity checks)
+            // never carry them.
+            for (name, secs) in intra.sweep_phases().entries() {
+                collector.gauge_set(&format!("tuner.phase.{name}_secs"), secs);
+            }
+        }
         collector.gauge_set("tuner.elapsed_secs", stats.elapsed_secs);
         collector.gauge_set("tuner.intra_secs", stats.intra_secs);
         collector.gauge_set("tuner.inter_secs", stats.inter_secs);

@@ -23,25 +23,38 @@
 //! * Layer count `l` enters the tapes as a plain symbol, so all layer
 //!   counts share one batch — the frontier for every `l` falls out of a
 //!   single evaluation pass.
+//!
+//! The production sweep is columnar: each `(dp, tp, b)` candidate runs
+//! as a few large batches over all of its `(zero, offload, L)` rows
+//! (capped at [`SWEEP_BATCH_ROWS`], cut at whole `(zero, offload)`
+//! groups) through the generic compiled stage programs. Checkpoint
+//! probes and the memory-first filter run over the whole batch, the
+//! 22-root program only over the rows that fit, and `(t, d)` comes
+//! straight from the output columns. Only rows that survive an exact
+//! per-layer dominance prefilter ([`prefilter`]) are materialized as
+//! [`ParetoPoint`]s — a small fraction of the feasible rows. The
+//! interpreter (`with_compiled_eval(false)`) keeps the row-by-row
+//! per-group sweep as the reference both backends are tested against.
 
 use std::collections::HashMap;
 use std::sync::Arc;
+use std::time::Instant;
 
 use mist_graph::{
-    sweep_frozen_symbols, StageAnalyzer, StageCandidate, StageConfigValues, StagePoint, StageRole,
-    StageTapes,
+    stage_roots, sweep_frozen_symbols, StageAnalyzer, StageCandidate, StageConfigValues,
+    StagePoint, StageRole, StageTapes,
 };
 use mist_hardware::{ClusterSpec, DeviceMesh, OpCostDb};
 use mist_interference::InterferenceModel;
 use mist_irlint::{monotonicity, root_intervals, DomainMap, SymbolDomain};
 use mist_models::ModelSpec;
 use mist_pool::ThreadPool;
-use mist_schedule::stage_times;
-use mist_symbolic::{BatchBindings, CompiledWorkspace, EvalWorkspace};
+use mist_schedule::{stage_times, stage_times_of};
+use mist_symbolic::{BatchBindings, CompiledProgram, CompiledWorkspace, EvalWorkspace};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
-use crate::pareto::{pareto_frontier, sample_frontier};
+use crate::pareto::{pareto_frontier, prefilter, sample_frontier};
 use crate::seed::{role_rank, BudgetProof, FrontierExport, FrontierRecord, SeedCandidate};
 use crate::space::{CkptMode, SearchSpace};
 use crate::specialize::Specializer;
@@ -95,6 +108,9 @@ pub(crate) struct SweepTally {
     /// Rows skipped without evaluation because a monotonicity proof
     /// extrapolated an all-OOM outcome from a smaller in-flight count.
     pub mono_pruned: u64,
+    /// Rows that fit the budget with a finite predicted time — counted
+    /// before the dominance prefilter drops any of them.
+    pub feasible: u64,
     /// Whether the memory budget influenced any row: an OOM rejection
     /// (including mono-pruned rows, which are extrapolated OOMs), or
     /// (under tuned checkpointing) a nonzero resolved `ckpt`. Drives
@@ -104,6 +120,8 @@ pub(crate) struct SweepTally {
     /// of the sweep (`-∞` before any candidate merges in). When finite
     /// and at most the budget, licenses [`BudgetProof::StaticFit`].
     pub mem_hi: f64,
+    /// Wall-clock per sweep phase (compiled backend only).
+    pub phases: SweepPhases,
 }
 
 impl Default for SweepTally {
@@ -113,8 +131,10 @@ impl Default for SweepTally {
             oom: 0,
             nonfinite: 0,
             mono_pruned: 0,
+            feasible: 0,
             budget_bound: false,
             mem_hi: f64::NEG_INFINITY,
+            phases: SweepPhases::default(),
         }
     }
 }
@@ -125,9 +145,147 @@ impl SweepTally {
         self.oom += other.oom;
         self.nonfinite += other.nonfinite;
         self.mono_pruned += other.mono_pruned;
+        self.feasible += other.feasible;
         self.budget_bound |= other.budget_bound;
         self.mem_hi = self.mem_hi.max(other.mem_hi);
+        self.phases.merge(&other.phases);
     }
+}
+
+/// Seconds spent in each phase of the columnar sweep, accumulated per
+/// candidate with one `Instant` read per phase boundary and batch (never
+/// per row) and merged in submission order. Published by the driver as
+/// `tuner.phase.<name>_secs` gauges.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct SweepPhases {
+    /// The three `mem_pair` checkpoint probes and `minimal_ckpt`.
+    pub ckpt_probe: f64,
+    /// The memory-first `mem_pair` pass at the resolved `ckpt`.
+    pub mem_first: f64,
+    /// The 22-root stage program over the compacted survivors.
+    pub eval: f64,
+    /// `(t, d)` prediction, outcome flags and per-layer bucketing.
+    pub predict: f64,
+    /// The dominance prefilter and `ParetoPoint` materialization.
+    pub materialize: f64,
+    /// Per-key Pareto reduction and sampling.
+    pub pareto: f64,
+}
+
+impl SweepPhases {
+    fn merge(&mut self, other: &SweepPhases) {
+        self.ckpt_probe += other.ckpt_probe;
+        self.mem_first += other.mem_first;
+        self.eval += other.eval;
+        self.predict += other.predict;
+        self.materialize += other.materialize;
+        self.pareto += other.pareto;
+    }
+
+    /// `(name, seconds)` per phase, in sweep order.
+    pub(crate) fn entries(&self) -> [(&'static str, f64); 6] {
+        [
+            ("ckpt_probe", self.ckpt_probe),
+            ("mem_first", self.mem_first),
+            ("eval", self.eval),
+            ("predict", self.predict),
+            ("materialize", self.materialize),
+            ("pareto", self.pareto),
+        ]
+    }
+}
+
+/// Seconds since `*mark`, restarting the mark — the phase-boundary
+/// timer of the columnar sweep.
+fn lap(mark: &mut Instant) -> f64 {
+    let now = Instant::now();
+    let secs = now.duration_since(*mark).as_secs_f64();
+    *mark = now;
+    secs
+}
+
+/// Per retained layer count, across all `(zero, offload)` groups of one
+/// candidate: whether any row was feasible or non-finite, and whether
+/// any OOM came from the conservative post-evaluation recheck rather
+/// than the analytic `ckpt = ∞` path. Decides which layer counts become
+/// all-OOM floors for monotone pruning.
+struct LayerFlags {
+    any_feasible: Vec<bool>,
+    any_nonfinite: Vec<bool>,
+    recheck_oom: Vec<bool>,
+}
+
+impl LayerFlags {
+    fn new(layers: usize) -> Self {
+        LayerFlags {
+            any_feasible: vec![false; layers],
+            any_nonfinite: vec![false; layers],
+            recheck_oom: vec![false; layers],
+        }
+    }
+}
+
+/// Row cap of one columnar sweep batch. Batches are cut only at whole
+/// `(zero, offload)` group boundaries (a group is one row per retained
+/// layer count), so one batch may exceed the cap only when a single
+/// group does. Bounds the sweep's column and output memory on fine
+/// grids and deep models.
+const SWEEP_BATCH_ROWS: usize = 16 * 1024;
+
+/// The offloading-ratio symbols, in `[wo, go, oo, ao]` order.
+const OFFLOAD_SYMBOLS: [&str; 4] = ["wo", "go", "oo", "ao"];
+
+/// Value columns of one columnar sweep batch, in `(zero, offload, L)`
+/// row order.
+#[derive(Default)]
+struct SweepColumns {
+    l: Vec<f64>,
+    zero: Vec<f64>,
+    off: [Vec<f64>; 4],
+}
+
+impl SweepColumns {
+    fn push(&mut self, l: u32, zero: u8, off: [f64; 4]) {
+        self.l.push(f64::from(l));
+        self.zero.push(f64::from(zero));
+        for (col, v) in self.off.iter_mut().zip(off) {
+            col.push(v);
+        }
+    }
+
+    /// Bindings over `rows` (every row when `None`), with `inflight` as
+    /// a scalar. The caller binds `ckpt`.
+    fn bind(&self, rows: Option<&[u32]>, inflight: f64) -> BatchBindings {
+        let pick = |col: &Vec<f64>| -> Vec<f64> {
+            match rows {
+                Some(rows) => rows.iter().map(|&r| col[r as usize]).collect(),
+                None => col.clone(),
+            }
+        };
+        let mut batch = BatchBindings::new(rows.map_or(self.l.len(), <[u32]>::len));
+        batch.set_values("L", pick(&self.l));
+        batch.set_values("zero", pick(&self.zero));
+        for (name, col) in OFFLOAD_SYMBOLS.iter().zip(&self.off) {
+            batch.set_values(name, pick(col));
+        }
+        batch.set_scalar("inflight", inflight);
+        batch
+    }
+}
+
+/// Per-row peak memory `max(mem_fwd, mem_bwd)` of the compiled two-root
+/// `mem_pair` program over `batch`.
+fn mem_peaks(
+    mem: &CompiledProgram,
+    batch: &BatchBindings,
+    cws: &mut CompiledWorkspace,
+) -> Vec<f64> {
+    mem.eval_batch(batch, cws).expect("mem_pair program");
+    cws.output(0)
+        .iter()
+        .zip(cws.output(1))
+        .map(|(&f, &b)| f.max(b))
+        .collect()
 }
 
 /// Always-on rejection counters (satellite provenance: journal-off runs
@@ -228,6 +386,9 @@ pub struct IntraStageTuner<'a> {
     workspaces: Mutex<Vec<EvalWorkspace>>,
     // Same pooling for the compiled backend's block-register scratch.
     compiled_workspaces: Mutex<Vec<CompiledWorkspace>>,
+    // Columnar-sweep phase timers, summed over every computed frontier
+    // key (driver publication).
+    phases: Mutex<SweepPhases>,
 }
 
 impl<'a> IntraStageTuner<'a> {
@@ -268,6 +429,7 @@ impl<'a> IntraStageTuner<'a> {
             compiled_eval: true,
             workspaces: Mutex::new(Vec::new()),
             compiled_workspaces: Mutex::new(Vec::new()),
+            phases: Mutex::new(SweepPhases::default()),
         }
     }
 
@@ -356,6 +518,12 @@ impl<'a> IntraStageTuner<'a> {
     /// Rejection attribution counters (driver publication).
     pub(crate) fn rejections(&self) -> &RejectionCounters {
         &self.rejections
+    }
+
+    /// Columnar-sweep phase timers summed over every frontier key
+    /// computed so far (all zero under the interpreter).
+    pub(crate) fn sweep_phases(&self) -> SweepPhases {
+        *self.phases.lock()
     }
 
     /// Largest sampled per-layer frontier seen so far.
@@ -714,14 +882,17 @@ impl<'a> IntraStageTuner<'a> {
                 dst.extend(src);
             }
         }
-        let feasible: u64 = per_l.iter().map(|p| p.len() as u64).sum();
-        debug_assert_eq!(
+        let feasible = tally.feasible;
+        assert_eq!(
             tally.enumerated,
             tally.oom + tally.nonfinite + feasible + tally.mono_pruned,
             "every enumerated row must be attributed to exactly one outcome"
         );
 
-        // Pareto-reduce and sample each layer count.
+        // Pareto-reduce and sample each layer count. Under the compiled
+        // backend `per_l` holds only the prefilter survivors, which
+        // select exactly the points the full feasible list would.
+        let mut mark = Instant::now();
         for points in per_l.iter_mut() {
             if points.is_empty() {
                 continue;
@@ -732,6 +903,10 @@ impl<'a> IntraStageTuner<'a> {
             let mut kept: Vec<ParetoPoint> = sampled.iter().map(|&i| points[i].clone()).collect();
             kept.sort_by(|a, b| a.t.total_cmp(&b.t));
             *points = kept;
+        }
+        if self.compiled_eval {
+            tally.phases.pareto += lap(&mut mark);
+            self.phases.lock().merge(&tally.phases);
         }
 
         let sizes: Vec<u32> = per_l.iter().map(|p| p.len() as u32).collect();
@@ -776,28 +951,21 @@ impl<'a> IntraStageTuner<'a> {
     }
 
     /// Batch-evaluates one `(dp, tp, b)` candidate over all layer counts,
-    /// ZeRO levels and offload combos, appending feasible points.
+    /// ZeRO levels and offload combos, appending feasible points to
+    /// `per_l` (under the compiled backend, only the points that survive
+    /// the dominance prefilter).
     ///
-    /// The sweep is grouped by `(zero, offload)`: within a group those
-    /// knobs — plus `inflight`, and `ckpt` under [`CkptMode::None`] — are
-    /// constant and the batch only varies `L`/`ckpt`. Groups iterate
-    /// ZeRO-outer/offload-inner, which appends points to each `per_l[l]`
-    /// in exactly the order the ungrouped `(l, zero, offload)` row sweep
-    /// produced — downstream Pareto reduction sees a byte-identical
-    /// input sequence.
+    /// Rows are enumerated in `(zero, offload, L)` order: ZeRO-outer,
+    /// offload-inner, one row per retained layer count. Each `per_l[l]`
+    /// therefore receives its points in `(zero, offload)` order at any
+    /// batch shape, so downstream Pareto reduction selects the same
+    /// points on both backends.
     ///
-    /// Under the interpreter (`--no-compiled-eval`) the 22-root stage
-    /// program is specialized once per group via the shared
-    /// [`Specializer`] cache and the group knobs vanish from the
-    /// residual. Under the compiled backend (default on) the *generic*
-    /// programs are compiled once per candidate instead — group knobs
-    /// stay bound as batch scalars — and each group runs as a
-    /// *memory-first filtered sweep*: the two-root `mem_pair` is
-    /// evaluated over every row, rows that fail the budget check are
-    /// rejected without ever running the 22-root program, and the
-    /// survivors are compacted into a smaller batch. Both backends are
-    /// bit-identical per row and the survivor compaction preserves row
-    /// order, so frontiers, tallies and journal order never differ.
+    /// The compiled backend (default on) runs the columnar sweep of
+    /// [`Self::sweep_columnar`]. The interpreter (`--no-compiled-eval`)
+    /// runs [`Self::sweep_interpreted`], the row-by-row reference the
+    /// columnar sweep is checked against. Both produce the same
+    /// frontiers, tallies, outcome flags and journal events.
     #[allow(clippy::too_many_arguments)]
     fn evaluate_candidate(
         &self,
@@ -810,9 +978,8 @@ impl<'a> IntraStageTuner<'a> {
         cws: &mut CompiledWorkspace,
         tally: &mut SweepTally,
     ) {
-        let combos = self.space.offload_combos();
-        let zeros = self.space.zero_levels();
-        let rows_per_l = (zeros.len() * combos.len()) as u64;
+        let rows_per_l =
+            (self.space.zero_levels().len() * self.space.offload_combos().len()) as u64;
         let nl = max_layers as usize;
         tally.enumerated += nl as u64 * rows_per_l;
 
@@ -861,43 +1028,260 @@ impl<'a> IntraStageTuner<'a> {
         self.configs_evaluated
             .add(retained.len() as u64 * rows_per_l);
 
+        let mut flags = LayerFlags::new(retained.len());
+        if self.compiled_eval {
+            self.sweep_columnar(cand, tapes, key, &retained, per_l, cws, tally, &mut flags);
+        } else {
+            self.sweep_interpreted(cand, tapes, key, &retained, per_l, ws, tally, &mut flags);
+        }
+
+        // Record new all-OOM floors for larger in-flight counts. Only
+        // pending here — `frontiers_batch` commits between levels so
+        // concurrent sweeps of the same level never observe each other.
+        // An all-OOM layer count becomes a floor — except under tuned
+        // checkpointing with a recheck OOM, where the resolved `ckpt`
+        // changes with `inflight` and the outcome is not directly
+        // extrapolatable.
+        if licensed {
+            let mut pending = self.pending_floors.lock();
+            for (i, &l) in retained.iter().enumerate() {
+                let extrapolatable = self.space.ckpt != CkptMode::Tuned || !flags.recheck_oom[i];
+                if !flags.any_feasible[i] && !flags.any_nonfinite[i] && extrapolatable {
+                    pending.push(((tape_key, l), key.inflight));
+                }
+            }
+        }
+    }
+
+    /// The compiled backend's sweep: the candidate's rows run as
+    /// columnar batches of whole `(zero, offload)` groups, at most
+    /// [`SWEEP_BATCH_ROWS`] rows each, through the *generic* stage
+    /// programs compiled once per tapes (`zero`, the offload ratios and
+    /// `L` are value columns, `inflight` a scalar). Per batch:
+    ///
+    /// 1. Under [`CkptMode::Tuned`], three `mem_pair` probes at
+    ///    `ckpt` = 0, 1 and `L` over the whole batch, then
+    ///    [`minimal_ckpt`] per row.
+    /// 2. The memory-first `mem_pair` pass at the resolved `ckpt`. Rows
+    ///    with no feasible `ckpt` or a peak over the budget are rejected
+    ///    without running the 22-root program.
+    /// 3. One 22-root evaluation over the compacted survivors, in row
+    ///    order.
+    /// 4. `(t, d)` per survivor, read straight from the output columns
+    ///    (the [`stage_times`] arithmetic, so bit-identical), plus the
+    ///    conservative budget recheck and the per-layer outcome flags.
+    /// 5. Per layer count, the dominance [`prefilter`] on `(t, d)`; a
+    ///    [`StagePoint`] and [`ParetoPoint`] are built only for its
+    ///    survivors.
+    ///
+    /// Every evaluation is bit-identical to the interpreter row by row,
+    /// the survivors keep row order, and the prefilter is exact over any
+    /// contiguous cut of a layer's point list, so the sampled frontiers
+    /// match [`Self::sweep_interpreted`] byte for byte.
+    #[allow(clippy::too_many_arguments)]
+    fn sweep_columnar(
+        &self,
+        cand: &StageCandidate,
+        tapes: &StageTapes,
+        key: FrontierKey,
+        retained: &[u32],
+        per_l: &mut [Vec<ParetoPoint>],
+        cws: &mut CompiledWorkspace,
+        tally: &mut SweepTally,
+        flags: &mut LayerFlags,
+    ) {
+        // `tapes.program` and `tapes.mem_pair` are shared by every batch
+        // of this candidate and by every frontier key that reuses its
+        // tapes, so the content-addressed compile cache hits almost
+        // always.
+        let prog = self.specializer.compiled(&tapes.program);
+        let mem = self.specializer.compiled(&tapes.mem_pair);
+        let zeros = self.space.zero_levels();
+        let combos = self.space.offload_combos();
+        let group = |g: usize| (zeros[g / combos.len()], combos[g % combos.len()]);
+        let groups = zeros.len() * combos.len();
+        let nr = retained.len();
+        let per_batch = (SWEEP_BATCH_ROWS / nr).max(1);
+        let inflight = f64::from(key.inflight);
+        // Per retained layer count: `(t, d)` of each feasible row and
+        // its survivor column, in row order.
+        let mut buckets: Vec<Vec<(f64, f64)>> = vec![Vec::new(); nr];
+        let mut bucket_cols: Vec<Vec<u32>> = vec![Vec::new(); nr];
+
+        let mut g0 = 0;
+        while g0 < groups {
+            let g1 = (g0 + per_batch).min(groups);
+            let mut mark = Instant::now();
+            let mut cols = SweepColumns::default();
+            for g in g0..g1 {
+                let (z, off) = group(g);
+                for &l in retained {
+                    cols.push(l, z, off);
+                }
+            }
+            let n = cols.l.len();
+            let mut batch = cols.bind(None, inflight);
+
+            // 1. Resolve the checkpoint count per row.
+            let ckpt: Vec<f64> = match self.space.ckpt {
+                CkptMode::None => vec![0.0; n],
+                CkptMode::Full => cols.l.clone(),
+                CkptMode::Tuned => {
+                    batch.set_scalar("ckpt", 0.0);
+                    let m0 = mem_peaks(&mem, &batch, cws);
+                    batch.set_scalar("ckpt", 1.0);
+                    let m1 = mem_peaks(&mem, &batch, cws);
+                    batch.set_values("ckpt", cols.l.clone());
+                    let ml = mem_peaks(&mem, &batch, cws);
+                    let ckpt: Vec<f64> = (0..n)
+                        .map(|r| minimal_ckpt(m0[r], m1[r], ml[r], retained[r % nr], self.budget))
+                        .collect();
+                    // A nonzero tuned checkpoint count (incl. the `∞`
+                    // infeasibility marker) means the budget shaped this
+                    // row — the sweep is not reusable under other budgets.
+                    if ckpt.iter().any(|&c| c != 0.0) {
+                        tally.budget_bound = true;
+                    }
+                    ckpt
+                }
+            };
+            tally.phases.ckpt_probe += lap(&mut mark);
+
+            // 2. Memory-first filter at the resolved checkpoint counts.
+            // Rows whose `ckpt` is the `∞` marker are evaluated but never
+            // read back.
+            batch.set_values("ckpt", ckpt.clone());
+            let peaks = mem_peaks(&mem, &batch, cws);
+            let mut surv: Vec<u32> = Vec::with_capacity(n);
+            for r in 0..n {
+                if ckpt[r].is_infinite() {
+                    tally.oom += 1; // No feasible checkpoint count.
+                } else if peaks[r] > self.budget {
+                    tally.oom += 1;
+                    tally.budget_bound = true;
+                    flags.recheck_oom[r % nr] = true;
+                } else {
+                    // The exact complement of the `> budget` rejection
+                    // the interpreter applies to these same values, so
+                    // every row lands in the same bucket on both backends.
+                    surv.push(r as u32);
+                }
+            }
+            tally.phases.mem_first += lap(&mut mark);
+
+            // 3. The 22-root program over the survivors only.
+            if surv.is_empty() {
+                g0 = g1;
+                continue;
+            }
+            let mut sbatch = cols.bind(Some(&surv), inflight);
+            sbatch.set_values("ckpt", surv.iter().map(|&r| ckpt[r as usize]).collect());
+            prog.eval_batch(&sbatch, cws)
+                .expect("compiled stage program");
+            tally.phases.eval += lap(&mut mark);
+
+            // 4. Budget recheck, `(t, d)` and outcome per survivor.
+            let out: [&[f64]; stage_roots::COUNT] = std::array::from_fn(|i| cws.output(i));
+            for (j, &r) in surv.iter().enumerate() {
+                let li = r as usize % nr;
+                let quad = |base: usize| {
+                    [
+                        out[base][j],
+                        out[base + 1][j],
+                        out[base + 2][j],
+                        out[base + 3][j],
+                    ]
+                };
+                let mem_peak = out[stage_roots::MEM_FWD][j].max(out[stage_roots::MEM_BWD][j]);
+                if mem_peak > self.budget {
+                    tally.oom += 1;
+                    tally.budget_bound = true;
+                    flags.recheck_oom[li] = true;
+                    continue; // Conservative re-check of the linear solve.
+                }
+                let (fwd, bwd) = (quad(stage_roots::FWD), quad(stage_roots::BWD));
+                let (first, last) = (
+                    quad(stage_roots::FIRST_EXTRA),
+                    quad(stage_roots::LAST_EXTRA),
+                );
+                let (t, d) = if self.space.overlap_aware {
+                    let st = stage_times_of(fwd, bwd, first, last, self.interference);
+                    (st.t, st.d)
+                } else {
+                    serial_times(fwd, bwd, first, last)
+                };
+                if !t.is_finite() {
+                    tally.nonfinite += 1;
+                    flags.any_nonfinite[li] = true;
+                    continue;
+                }
+                tally.feasible += 1;
+                flags.any_feasible[li] = true;
+                buckets[li].push((t, d));
+                bucket_cols[li].push(j as u32);
+            }
+            tally.phases.predict += lap(&mut mark);
+
+            // 5. Build points only for the prefilter survivors.
+            for (li, (td, js)) in buckets.iter_mut().zip(&mut bucket_cols).enumerate() {
+                let l = retained[li];
+                for k in prefilter(td) {
+                    let j = js[k] as usize;
+                    let r = surv[j] as usize;
+                    let (z, off) = group(g0 + r / nr);
+                    let point = tapes.point_at_compiled(cws, j);
+                    per_l[(l - 1) as usize].push(ParetoPoint {
+                        t: td[k].0,
+                        d: td[k].1,
+                        mem_peak: point.mem_fwd.max(point.mem_bwd),
+                        candidate: *cand,
+                        config: StageConfigValues {
+                            layers: l,
+                            ckpt: ckpt[r] as u32,
+                            zero: z,
+                            wo: off[0],
+                            go: off[1],
+                            oo: off[2],
+                            ao: off[3],
+                            inflight: key.inflight,
+                        },
+                        point,
+                    });
+                }
+                td.clear();
+                js.clear();
+            }
+            tally.phases.materialize += lap(&mut mark);
+            g0 = g1;
+        }
+    }
+
+    /// The interpreter's row-by-row reference sweep, one `(zero,
+    /// offload)` group at a time: the 22-root stage program is
+    /// specialized once per group via the shared [`Specializer`] cache
+    /// (the group knobs vanish from the residual), each group's batch
+    /// varies only `L`/`ckpt`, and every evaluated row is classified by
+    /// [`Self::classify_row`].
+    #[allow(clippy::too_many_arguments)]
+    fn sweep_interpreted(
+        &self,
+        cand: &StageCandidate,
+        tapes: &StageTapes,
+        key: FrontierKey,
+        retained: &[u32],
+        per_l: &mut [Vec<ParetoPoint>],
+        ws: &mut EvalWorkspace,
+        tally: &mut SweepTally,
+        flags: &mut LayerFlags,
+    ) {
         let nr = retained.len();
         let ls: Vec<f64> = retained.iter().map(|&l| f64::from(l)).collect();
-        // Per retained layer count, across all (zero, offload) groups:
-        // whether any row was feasible or non-finite, and whether any
-        // OOM came from the conservative post-evaluation recheck rather
-        // than the analytic `ckpt = ∞` path. An all-OOM layer count
-        // becomes a floor for larger in-flight counts — except under
-        // tuned checkpointing with a recheck OOM, where the resolved
-        // `ckpt` changes with `inflight` and the outcome is not
-        // directly extrapolatable.
-        let mut any_feasible = vec![false; nr];
-        let mut any_nonfinite = vec![false; nr];
-        let mut recheck_oom = vec![false; nr];
         let frozen_ckpt = match self.space.ckpt {
             CkptMode::None => Some(0),
             CkptMode::Full | CkptMode::Tuned => None,
         };
-
-        // The compiled backend lowers the *generic* stage programs —
-        // not the per-group residuals. A group's batch is ~30 rows, far
-        // too small to amortize a fresh specialize + compile (the
-        // residual is used exactly once), while `tapes.program` and
-        // `tapes.mem_pair` are shared by every `(zero, offload)` group
-        // of this candidate and by every frontier key that reuses its
-        // tapes — so the content-addressed compile cache hits almost
-        // always. The frozen knobs are bound as batch scalars instead,
-        // which the specializer's own contract proves byte-identical to
-        // evaluating the residual.
-        let compiled = self.compiled_eval.then(|| {
-            (
-                self.specializer.compiled(&tapes.program),
-                self.specializer.compiled(&tapes.mem_pair),
-            )
-        });
-
-        for &z in zeros {
-            for &off in &combos {
+        for &z in self.space.zero_levels() {
+            for off in self.space.offload_combos() {
                 let frozen = sweep_frozen_symbols(z, off, key.inflight, frozen_ckpt);
                 // One row per retained layer count. The frozen symbols
                 // are bound too: specialization removes them from the
@@ -912,46 +1296,25 @@ impl<'a> IntraStageTuner<'a> {
                 batch.set_scalar("ao", off[3]);
                 batch.set_scalar("inflight", f64::from(key.inflight));
 
-                // The two-root `mem_pair` residual backing the
-                // interpreter's tuned-checkpoint probes. The compiled
-                // backend uses the generic compiled `mem_pair` instead
-                // (hoisted above), so it never pays the per-group
-                // specialization pass.
-                let mem = (!self.compiled_eval && self.space.ckpt == CkptMode::Tuned).then(|| {
-                    self.specializer
-                        .specialized(&tapes.mem_pair, &frozen, &self.domains)
-                });
-
                 // Resolve the checkpoint count per row through the
-                // two-root `mem_pair` program (peak memory only — no
+                // two-root `mem_pair` residual (peak memory only — no
                 // need to evaluate all 22 roots for the feasibility
                 // probes).
                 let ckpt_col: Vec<f64> = match self.space.ckpt {
                     CkptMode::None => vec![0.0; nr],
                     CkptMode::Full => ls.clone(),
                     CkptMode::Tuned => {
+                        let mem =
+                            self.specializer
+                                .specialized(&tapes.mem_pair, &frozen, &self.domains);
                         let mut mem_at = |ckpt_of: &dyn Fn(f64) -> f64| -> Vec<f64> {
                             batch.set_values("ckpt", ls.iter().map(|&l| ckpt_of(l)).collect());
-                            match &compiled {
-                                Some((_, cmem)) => {
-                                    cmem.eval_batch(&batch, cws).expect("mem_pair program");
-                                    cws.output(0)
-                                        .iter()
-                                        .zip(cws.output(1))
-                                        .map(|(&f, &b)| f.max(b))
-                                        .collect()
-                                }
-                                None => {
-                                    let mem =
-                                        mem.as_ref().expect("mem_pair residual exists under Tuned");
-                                    mem.eval_batch(&batch, ws).expect("mem_pair program");
-                                    ws.output(0)
-                                        .iter()
-                                        .zip(ws.output(1))
-                                        .map(|(&f, &b)| f.max(b))
-                                        .collect()
-                                }
-                            }
+                            mem.eval_batch(&batch, ws).expect("mem_pair program");
+                            ws.output(0)
+                                .iter()
+                                .zip(ws.output(1))
+                                .map(|(&f, &b)| f.max(b))
+                                .collect()
                         };
                         let m0 = mem_at(&|_| 0.0);
                         let m1 = mem_at(&|_| 1.0);
@@ -975,136 +1338,28 @@ impl<'a> IntraStageTuner<'a> {
                 // counts. Rows whose `ckpt` is the `∞` infeasibility
                 // marker are out of the guard-fact domain; they are
                 // discarded below, never read back.
-                if let Some((cprog, cmem)) = &compiled {
-                    // Memory-first filtered sweep: the two-root
-                    // `mem_pair` runs over every row first; rows whose
-                    // resolved `ckpt` is `∞` or whose peak memory busts
-                    // the budget are rejected without ever paying for
-                    // the 22-root program. Survivors keep their sweep
-                    // order, so the compacted outputs read back in
-                    // exactly the order the unfiltered loop visits them.
-                    cmem.eval_batch(&batch, cws).expect("mem_pair program");
-                    let mem_peaks: Vec<f64> = cws
-                        .output(0)
-                        .iter()
-                        .zip(cws.output(1))
-                        .map(|(&f, &b)| f.max(b))
-                        .collect();
-                    // The survivor predicate must be the exact
-                    // complement of the rejection tests in the walk
-                    // below, or a NaN peak (never > budget, never
-                    // <= budget) would desynchronize the cursor.
-                    let mut surv_ls: Vec<f64> = Vec::with_capacity(nr);
-                    let mut surv_ckpts: Vec<f64> = Vec::with_capacity(nr);
-                    for (i, &l) in retained.iter().enumerate() {
-                        // `!(a > b)` rather than `a <= b`: the walk
-                        // rejects on `> budget`, and a NaN peak must
-                        // land on the same side here.
-                        #[allow(clippy::neg_cmp_op_on_partial_ord)]
-                        if !ckpt_col[i].is_infinite() && !(mem_peaks[i] > self.budget) {
-                            surv_ls.push(f64::from(l));
-                            surv_ckpts.push(ckpt_col[i]);
-                        }
+                let spec = self
+                    .specializer
+                    .specialized(&tapes.program, &frozen, &self.domains);
+                spec.eval_batch(&batch, ws)
+                    .expect("specialized stage program");
+                for (i, &l) in retained.iter().enumerate() {
+                    let ckpt = ckpt_col[i];
+                    if ckpt.is_infinite() {
+                        tally.oom += 1;
+                        continue; // No feasible checkpoint count.
                     }
-                    if !surv_ls.is_empty() {
-                        let mut surv = BatchBindings::new(surv_ls.len());
-                        surv.set_values("L", surv_ls);
-                        surv.set_values("ckpt", surv_ckpts);
-                        surv.set_scalar("zero", f64::from(z));
-                        surv.set_scalar("wo", off[0]);
-                        surv.set_scalar("go", off[1]);
-                        surv.set_scalar("oo", off[2]);
-                        surv.set_scalar("ao", off[3]);
-                        surv.set_scalar("inflight", f64::from(key.inflight));
-                        cprog
-                            .eval_batch(&surv, cws)
-                            .expect("compiled stage program");
-                    }
-                    // Walk the ORIGINAL row order; `cursor` tracks the
-                    // next survivor column in the compacted outputs.
-                    let mut cursor = 0usize;
-                    for (i, &l) in retained.iter().enumerate() {
-                        let ckpt = ckpt_col[i];
-                        if ckpt.is_infinite() {
-                            tally.oom += 1;
-                            continue; // No feasible checkpoint count.
-                        }
-                        if mem_peaks[i] > self.budget {
-                            tally.oom += 1;
-                            tally.budget_bound = true;
-                            recheck_oom[i] = true;
-                            continue; // Rejected by the mem-first pre-pass.
-                        }
-                        let point = tapes.point_at_compiled(cws, cursor);
-                        cursor += 1;
-                        self.classify_row(
-                            cand,
-                            key,
-                            i,
-                            l,
-                            z,
-                            off,
-                            ckpt,
-                            point,
-                            per_l,
-                            tally,
-                            &mut any_feasible,
-                            &mut any_nonfinite,
-                            &mut recheck_oom,
-                        );
-                    }
-                } else {
-                    let spec = self
-                        .specializer
-                        .specialized(&tapes.program, &frozen, &self.domains);
-                    spec.eval_batch(&batch, ws)
-                        .expect("specialized stage program");
-                    for (i, &l) in retained.iter().enumerate() {
-                        let ckpt = ckpt_col[i];
-                        if ckpt.is_infinite() {
-                            tally.oom += 1;
-                            continue; // No feasible checkpoint count.
-                        }
-                        let point = tapes.point_at(ws, i);
-                        self.classify_row(
-                            cand,
-                            key,
-                            i,
-                            l,
-                            z,
-                            off,
-                            ckpt,
-                            point,
-                            per_l,
-                            tally,
-                            &mut any_feasible,
-                            &mut any_nonfinite,
-                            &mut recheck_oom,
-                        );
-                    }
-                }
-            }
-        }
-
-        // Record new all-OOM floors for larger in-flight counts. Only
-        // pending here — `frontiers_batch` commits between levels so
-        // concurrent sweeps of the same level never observe each other.
-        if licensed {
-            let mut pending = self.pending_floors.lock();
-            for (i, &l) in retained.iter().enumerate() {
-                let extrapolatable = self.space.ckpt != CkptMode::Tuned || !recheck_oom[i];
-                if !any_feasible[i] && !any_nonfinite[i] && extrapolatable {
-                    pending.push(((tape_key, l), key.inflight));
+                    let point = tapes.point_at(ws, i);
+                    self.classify_row(cand, key, i, l, z, off, ckpt, point, per_l, tally, flags);
                 }
             }
         }
     }
 
-    /// The shared tail of both evaluation backends for one evaluated
-    /// sweep row: the conservative budget re-check, the time/imbalance
-    /// predictor, and the feasible-point append. `i` indexes the
-    /// retained layer counts (for the per-layer outcome flags), `l` is
-    /// the layer count itself.
+    /// The interpreter's tail for one evaluated sweep row: the
+    /// conservative budget re-check, the time/imbalance predictor, and
+    /// the feasible-point append. `i` indexes the retained layer counts
+    /// (for the per-layer outcome flags), `l` is the layer count itself.
     #[allow(clippy::too_many_arguments)]
     fn classify_row(
         &self,
@@ -1118,32 +1373,28 @@ impl<'a> IntraStageTuner<'a> {
         point: StagePoint,
         per_l: &mut [Vec<ParetoPoint>],
         tally: &mut SweepTally,
-        any_feasible: &mut [bool],
-        any_nonfinite: &mut [bool],
-        recheck_oom: &mut [bool],
+        flags: &mut LayerFlags,
     ) {
         let mem_peak = point.mem_fwd.max(point.mem_bwd);
         if mem_peak > self.budget {
             tally.oom += 1;
             tally.budget_bound = true;
-            recheck_oom[i] = true;
+            flags.recheck_oom[i] = true;
             return; // Conservative re-check of the linear solve.
         }
         let (t, d) = if self.space.overlap_aware {
             let st = stage_times(&point, self.interference);
             (st.t, st.d)
         } else {
-            // Shortcoming #1: serial predictor.
-            let sum = |s: [f64; 4]| s.iter().sum::<f64>();
-            let t = sum(point.fwd) + sum(point.bwd);
-            (t, sum(point.first_extra) + sum(point.last_extra))
+            serial_times(point.fwd, point.bwd, point.first_extra, point.last_extra)
         };
         if !t.is_finite() {
             tally.nonfinite += 1;
-            any_nonfinite[i] = true;
+            flags.any_nonfinite[i] = true;
             return;
         }
-        any_feasible[i] = true;
+        tally.feasible += 1;
+        flags.any_feasible[i] = true;
         let config = StageConfigValues {
             layers: l,
             ckpt: ckpt as u32,
@@ -1163,6 +1414,18 @@ impl<'a> IntraStageTuner<'a> {
             point,
         });
     }
+}
+
+/// Shortcoming #1's serial predictor: `t` is the plain sum of the
+/// stable streams, `d` the plain sum of the first/last extras.
+fn serial_times(
+    fwd: [f64; 4],
+    bwd: [f64; 4],
+    first_extra: [f64; 4],
+    last_extra: [f64; 4],
+) -> (f64, f64) {
+    let sum = |s: [f64; 4]| s.iter().sum::<f64>();
+    (sum(fwd) + sum(bwd), sum(first_extra) + sum(last_extra))
 }
 
 /// Smallest `ckpt ∈ [0, l]` whose (linear-in-ckpt) peak memory fits the
@@ -1390,66 +1653,101 @@ mod tests {
         assert!(tuner.specializer().compile_hits() >= misses_one_key);
     }
 
-    /// Survivor compaction must be invisible: with a budget tight enough
-    /// that whole rows OOM (so the memory-first filter actually compacts
-    /// the batch), the frontiers, the row-to-bucket attribution and the
-    /// `configs_evaluated` accounting are byte-identical across the
-    /// compiled and interpreted backends. The `enumerated = oom +
-    /// nonfinite + feasible + mono_pruned` balance itself is enforced by
-    /// a debug assertion inside `compute_frontiers` on every test run.
+    /// Backend equivalence: the columnar sweep (batched checkpoint
+    /// probes, memory-first filter, survivor compaction, dominance
+    /// prefilter) must be invisible next to the interpreter's row-by-row
+    /// reference. The matrix covers every space shape the sweep branches
+    /// on — tuned, full and no checkpointing, the fine grid (several
+    /// batches per candidate) and the serial predictor — at a tight
+    /// budget (whole rows OOM, so the filter compacts batches) and at the
+    /// default one, with several in-flight levels through
+    /// `frontiers_batch` so monotone pruning commits floors between
+    /// levels. Frontiers, `configs_evaluated`, every rejection bucket and
+    /// the exported frontiers (budget proofs included) must match byte
+    /// for byte. The `enumerated = oom + nonfinite + feasible +
+    /// mono_pruned` balance itself is asserted inside `compute_frontiers`
+    /// on every run.
     #[test]
     fn survivor_compaction_preserves_row_order_and_buckets() {
         let c = ctx();
-        // Tuned ckpt (mist) exercises the `∞`-marker path + the filter;
-        // Full ckpt (megatron) exercises the pure filter path.
-        for space in [SearchSpace::mist(), SearchSpace::megatron()] {
-            let budget = 8e9; // Tight: some rows OOM, some survive.
-            let mk = |compiled: bool| {
-                IntraStageTuner::new(&c.model, &c.cluster, &c.db, &space, &c.interference, 8)
+        let spaces = [
+            SearchSpace::mist(),
+            SearchSpace::mist_fine(),
+            SearchSpace::megatron(),
+            SearchSpace {
+                ckpt: CkptMode::None,
+                ..SearchSpace::mist()
+            },
+            SearchSpace {
+                overlap_aware: false,
+                ..SearchSpace::mist()
+            },
+        ];
+        let mesh = DeviceMesh::new(1, 4);
+        let keys: Vec<FrontierKey> = [1, 2, 4]
+            .into_iter()
+            .map(|inflight| FrontierKey {
+                mesh,
+                role: StageRole::First,
+                inflight,
+                grad_accum: 4,
+            })
+            .collect();
+        let mut pruned = 0;
+        for space in &spaces {
+            for budget in [8e9, c.cluster.gpu.memory_bytes] {
+                let run = |compiled: bool| {
+                    let t = IntraStageTuner::new(
+                        &c.model,
+                        &c.cluster,
+                        &c.db,
+                        space,
+                        &c.interference,
+                        8,
+                    )
                     .with_budget(budget)
-                    .with_compiled_eval(compiled)
-            };
-            let t_off = mk(false);
-            let t_on = mk(true);
-            let k = key(DeviceMesh::new(1, 4), 4);
-            let f_off = t_off.frontiers(k, c.model.num_layers);
-            let f_on = t_on.frontiers(k, c.model.num_layers);
-            assert_eq!(
-                serde_json::to_string(f_off.as_ref()).unwrap(),
-                serde_json::to_string(f_on.as_ref()).unwrap(),
-                "space {}: frontiers must be byte-identical across backends",
-                space.name
-            );
-            assert_eq!(t_off.configs_evaluated(), t_on.configs_evaluated());
-            assert_eq!(
-                t_off.rejections().oom.value(),
-                t_on.rejections().oom.value(),
-                "space {}: OOM attribution must not move between buckets",
-                space.name
-            );
-            assert_eq!(
-                t_off.rejections().nonfinite.value(),
-                t_on.rejections().nonfinite.value()
-            );
-            assert_eq!(
-                t_off.rejections().dominated.value(),
-                t_on.rejections().dominated.value()
-            );
-            assert!(
-                t_on.rejections().oom.value() > 0,
-                "space {}: the tight budget must make the filter compact rows",
-                space.name
-            );
-            assert!(
-                t_on.specializer().compile_misses() > 0,
-                "compiled sweeps must build step tables"
-            );
-            assert_eq!(
-                t_off.specializer().compile_misses(),
-                0,
-                "interpreted sweeps must never touch the compiled backend"
-            );
+                    .with_compiled_eval(compiled);
+                    let fr = t.frontiers_batch(&keys, c.model.num_layers);
+                    let fr: Vec<&Vec<Vec<ParetoPoint>>> = fr.iter().map(|f| f.as_ref()).collect();
+                    let r = t.rejections();
+                    let outcome = (
+                        serde_json::to_string(&fr).unwrap(),
+                        t.configs_evaluated(),
+                        [
+                            r.oom.value(),
+                            r.nonfinite.value(),
+                            r.dominated.value(),
+                            r.mono_pruned.value(),
+                        ],
+                        serde_json::to_string(&t.export_frontiers()).unwrap(),
+                    );
+                    (outcome, t.specializer().compile_misses())
+                };
+                let ((reference, ref_compiles), (columnar, compiles)) = (run(false), run(true));
+                let case = format!("space {}, budget {budget:e}", space.name);
+                assert!(reference.1 > 0, "{case}: nothing evaluated");
+                assert_eq!(reference.0, columnar.0, "{case}: frontiers differ");
+                assert_eq!(reference.1, columnar.1, "{case}: configs_evaluated");
+                assert_eq!(
+                    reference.2, columnar.2,
+                    "{case}: oom/nonfinite/dominated/mono_pruned"
+                );
+                assert_eq!(
+                    reference.3, columnar.3,
+                    "{case}: exported frontiers and budget proofs"
+                );
+                if budget < c.cluster.gpu.memory_bytes {
+                    assert!(columnar.2[0] > 0, "{case}: the tight budget must OOM rows");
+                }
+                assert!(compiles > 0, "{case}: compiled sweeps build step tables");
+                assert_eq!(
+                    ref_compiles, 0,
+                    "{case}: interpreted sweeps must never touch the compiled backend"
+                );
+                pruned += columnar.2[3];
+            }
         }
+        assert!(pruned > 0, "the matrix must exercise monotone pruning");
     }
 
     #[test]
