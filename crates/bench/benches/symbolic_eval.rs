@@ -10,7 +10,7 @@ use mist::{
     ClusterSpec, DeviceMesh, GpuSpec, OpCostDb, Platform, StageAnalyzer, StageCandidate,
     StageConfigValues, StageRole, StageTapes,
 };
-use mist_symbolic::{BatchBindings, CompiledWorkspace, EvalWorkspace};
+use mist_symbolic::{BatchBindings, CompiledProgram, CompiledWorkspace, EvalWorkspace};
 
 fn setup() -> (mist::presets::ModelSpec, ClusterSpec, OpCostDb) {
     (
@@ -146,110 +146,34 @@ fn bench_fused_vs_separate(c: &mut Criterion) {
     group.finish();
 }
 
-/// Per-sweep specialized residual vs the fused program at batch 10 000:
-/// one `(zero, offload)` tuner group frozen, only `L` and `ckpt` varying
-/// (with `ckpt <= L`, keeping every row inside the sweep domain the
-/// residual's interval facts assume).
-fn bench_specialized_vs_fused(c: &mut Criterion) {
+/// The compiled stage program the intra-stage sweep runs vs the fused
+/// interpreter, at the batch shapes the sweep issues: ~30-row groups,
+/// a mid size, and a large batch. Bit-identical outputs; only the
+/// evaluation engine differs.
+fn bench_compiled_vs_fused(c: &mut Criterion) {
     let (model, cluster, db) = setup();
     let analyzer = StageAnalyzer::new(&model, &cluster, &db);
     let tapes = analyzer.analyze(&candidate());
-    let space = mist::SearchSpace::mist();
-    let domains = space.symbol_domains(&model);
-    let frozen = mist_graph::sweep_frozen_symbols(0, [0.0; 4], 2, None);
-    let specializer = mist_tuner::Specializer::new();
-    let specialized = specializer.specialized(&tapes.program, &frozen, &domains);
-
-    let n = 10_000usize;
-    let mut batch = BatchBindings::new(n);
-    let ls: Vec<f64> = (0..n).map(|i| 1.0 + (i % 32) as f64).collect();
-    let ckpts: Vec<f64> = ls
-        .iter()
-        .enumerate()
-        .map(|(i, &l)| ((i % 8) as f64).min(l))
-        .collect();
-    batch.set_values("L", ls);
-    batch.set_values("ckpt", ckpts);
-    batch.set_scalar("zero", 0.0);
-    batch.set_scalar("wo", 0.0);
-    batch.set_scalar("go", 0.0);
-    batch.set_scalar("oo", 0.0);
-    batch.set_scalar("ao", 0.0);
-    batch.set_scalar("inflight", 2.0);
-
-    let mut group = c.benchmark_group("specialized_vs_fused");
-    group.throughput(Throughput::Elements(n as u64));
+    let compiled = CompiledProgram::compile(&tapes.program);
+    let mut group = c.benchmark_group("compiled_vs_fused");
     let mut ws = EvalWorkspace::new();
-    group.bench_function(BenchmarkId::new("fused_program", n), |b| {
-        b.iter(|| {
-            tapes.eval_batch_fused(black_box(&batch), &mut ws).unwrap();
-            black_box(ws.output(0));
-        })
-    });
-    let mut ws_spec = EvalWorkspace::new();
-    group.bench_function(BenchmarkId::new("specialized_residual", n), |b| {
-        b.iter(|| {
-            specialized
-                .eval_batch(black_box(&batch), &mut ws_spec)
-                .unwrap();
-            black_box(ws_spec.output(0));
-        })
-    });
-    group.finish();
-}
-
-/// Compiled direct-threaded backend vs the interpreted residual at batch
-/// 10 000 — the same residual program, lowered to superinstruction-fused
-/// kernel step tables. Bit-identical outputs; only the evaluation engine
-/// differs.
-fn bench_compiled_vs_specialized(c: &mut Criterion) {
-    let (model, cluster, db) = setup();
-    let analyzer = StageAnalyzer::new(&model, &cluster, &db);
-    let tapes = analyzer.analyze(&candidate());
-    let space = mist::SearchSpace::mist();
-    let domains = space.symbol_domains(&model);
-    let frozen = mist_graph::sweep_frozen_symbols(0, [0.0; 4], 2, None);
-    let specializer = mist_tuner::Specializer::new();
-    let specialized = specializer.specialized(&tapes.program, &frozen, &domains);
-    let compiled = specializer.compiled(&specialized);
-
-    let n = 10_000usize;
-    let mut batch = BatchBindings::new(n);
-    let ls: Vec<f64> = (0..n).map(|i| 1.0 + (i % 32) as f64).collect();
-    let ckpts: Vec<f64> = ls
-        .iter()
-        .enumerate()
-        .map(|(i, &l)| ((i % 8) as f64).min(l))
-        .collect();
-    batch.set_values("L", ls);
-    batch.set_values("ckpt", ckpts);
-    batch.set_scalar("zero", 0.0);
-    batch.set_scalar("wo", 0.0);
-    batch.set_scalar("go", 0.0);
-    batch.set_scalar("oo", 0.0);
-    batch.set_scalar("ao", 0.0);
-    batch.set_scalar("inflight", 2.0);
-
-    let mut group = c.benchmark_group("compiled_vs_specialized");
-    group.throughput(Throughput::Elements(n as u64));
-    let mut ws_spec = EvalWorkspace::new();
-    group.bench_function(BenchmarkId::new("specialized_residual", n), |b| {
-        b.iter(|| {
-            specialized
-                .eval_batch(black_box(&batch), &mut ws_spec)
-                .unwrap();
-            black_box(ws_spec.output(0));
-        })
-    });
-    let mut ws_comp = CompiledWorkspace::new();
-    group.bench_function(BenchmarkId::new("compiled_program", n), |b| {
-        b.iter(|| {
-            compiled
-                .eval_batch(black_box(&batch), &mut ws_comp)
-                .unwrap();
-            black_box(ws_comp.output(0));
-        })
-    });
+    let mut cws = CompiledWorkspace::new();
+    for n in [30usize, 256, 10_000] {
+        let batch = grid_batch(n);
+        group.throughput(Throughput::Elements(n as u64));
+        group.bench_function(BenchmarkId::new("fused_program", n), |b| {
+            b.iter(|| {
+                tapes.eval_batch_fused(black_box(&batch), &mut ws).unwrap();
+                black_box(ws.output(0));
+            })
+        });
+        group.bench_function(BenchmarkId::new("compiled_program", n), |b| {
+            b.iter(|| {
+                compiled.eval_batch(black_box(&batch), &mut cws).unwrap();
+                black_box(cws.output(0));
+            })
+        });
+    }
     group.finish();
 }
 
@@ -259,7 +183,6 @@ criterion_group!(
     bench_substitution,
     bench_batched,
     bench_fused_vs_separate,
-    bench_specialized_vs_fused,
-    bench_compiled_vs_specialized
+    bench_compiled_vs_fused
 );
 criterion_main!(benches);

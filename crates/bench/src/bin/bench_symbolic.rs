@@ -1,25 +1,24 @@
 //! Smoke-run of the symbolic-evaluation benchmark (paper Fig. 16's
 //! substrate): times the fused 22-root stage program against the 22
-//! separate per-expression tapes at batch 10 000, then the per-sweep
-//! specialized residual against the fused program, and records both
-//! speedups in `results/bench_symbolic.json`.
+//! separate per-expression tapes at batch 10 000, then the compiled
+//! stage program the intra-stage sweep runs at 30, 256 and 10 000 rows,
+//! and records throughputs and speedups in `results/bench_symbolic.json`.
 //!
 //! This is the cheap, always-runnable counterpart of the Criterion bench
 //! in `benches/symbolic_eval.rs`; the verify recipe and the CI golden
-//! gate run it to catch regressions of the fusion and specialization
-//! speedups (`scripts/golden_diff.py` fails on a >10% rows/sec drop).
+//! gate run it to catch regressions of the fused and compiled
+//! evaluators (`scripts/golden_diff.py` fails on a >10% rows/sec drop
+//! at 10 000 rows).
 
 use std::time::Instant;
 
 use mist::presets::{gpt3, AttentionImpl, ModelSize};
 use mist::{
-    ClusterSpec, DeviceMesh, GpuSpec, OpCostDb, Platform, SearchSpace, StageAnalyzer,
-    StageCandidate, StageRole, StageTapes,
+    ClusterSpec, DeviceMesh, GpuSpec, OpCostDb, Platform, StageAnalyzer, StageCandidate, StageRole,
+    StageTapes,
 };
 use mist_bench::write_json;
-use mist_graph::sweep_frozen_symbols;
 use mist_symbolic::{BatchBindings, CompiledProgram, CompiledWorkspace, EvalWorkspace};
-use mist_tuner::Specializer;
 use serde::Serialize;
 
 #[derive(Serialize)]
@@ -30,22 +29,22 @@ struct BenchResult {
     fused_program_ns_per_batch: f64,
     fused_speedup: f64,
     fused_rows_per_sec: f64,
-    specialized_ns_per_batch: f64,
-    specialized_speedup: f64,
-    specialized_rows_per_sec: f64,
     compiled_ns_per_batch: f64,
     compiled_speedup: f64,
     compiled_rows_per_sec: f64,
+    compiled_rows_per_sec_b30: f64,
+    compiled_rows_per_sec_b256: f64,
     program_instructions: usize,
     separate_instructions: usize,
-    specialized_instructions: usize,
     program_registers: usize,
-    specialized_registers: usize,
     compiled_steps: usize,
     compiled_superinstrs: usize,
     compiled_tier: &'static str,
 }
 
+/// `n` rows with every sweep knob bound as a value column and
+/// `inflight` as a scalar — the batch shape the columnar sweep hands
+/// the compiled stage program.
 fn grid_batch(n: usize) -> BatchBindings {
     let mut batch = BatchBindings::new(n);
     batch.set_values("L", (0..n).map(|i| 1.0 + (i % 32) as f64).collect());
@@ -124,73 +123,44 @@ fn main() {
         std::hint::black_box(ws.output(0)[0]);
     });
 
-    // Per-sweep specialization: freeze one `(zero, offload)` group the
-    // way the intra-stage tuner does (only `L` and `ckpt` vary inside a
-    // group) and evaluate the residual. The group batch keeps `ckpt`
-    // inside the declared sweep domain (`ckpt <= L`) so the interval
-    // facts backing the residual hold on every row.
-    let space = SearchSpace::mist();
-    let domains = space.symbol_domains(&model);
-    let frozen = sweep_frozen_symbols(0, [0.0; 4], 2, None);
-    let specializer = Specializer::new();
-    let specialized = specializer.specialized(&tapes.program, &frozen, &domains);
-
-    let mut group_batch = BatchBindings::new(n);
-    let ls: Vec<f64> = (0..n).map(|i| 1.0 + (i % 32) as f64).collect();
-    let ckpts: Vec<f64> = ls
-        .iter()
-        .enumerate()
-        .map(|(i, &l)| ((i % 8) as f64).min(l))
-        .collect();
-    group_batch.set_values("L", ls);
-    group_batch.set_values("ckpt", ckpts);
-    group_batch.set_scalar("zero", 0.0);
-    group_batch.set_scalar("wo", 0.0);
-    group_batch.set_scalar("go", 0.0);
-    group_batch.set_scalar("oo", 0.0);
-    group_batch.set_scalar("ao", 0.0);
-    group_batch.set_scalar("inflight", 2.0);
-
-    // Exactness spot-check before timing: the residual must reproduce
-    // the fused outputs on every root and row of the group batch.
-    let mut ws_spec = EvalWorkspace::new();
-    tapes.eval_batch_fused(&group_batch, &mut ws).unwrap();
-    specialized.eval_batch(&group_batch, &mut ws_spec).unwrap();
+    // The compiled generic stage program — what the intra-stage sweep
+    // runs. Must be bit-identical to the interpreter on every root and
+    // row before it is worth timing.
+    let compiled = CompiledProgram::compile(&tapes.program);
+    let mut cws = CompiledWorkspace::new();
+    compiled.eval_batch(&batch, &mut cws).unwrap();
+    tapes.eval_batch_fused(&batch, &mut ws).unwrap();
     for root in 0..tapes.program.num_roots() {
-        assert_eq!(
-            ws.output(root),
-            ws_spec.output(root),
-            "specialized outputs drifted from fused at root {root}"
-        );
-    }
-
-    let specialized_ns = min_time_ns(iters, || {
-        specialized
-            .eval_batch(std::hint::black_box(&group_batch), &mut ws_spec)
-            .unwrap();
-        std::hint::black_box(ws_spec.output(0)[0]);
-    });
-
-    // Compiled backend: superinstruction-fused, direct-threaded kernels
-    // over the same residual. Must be bit-identical to the interpreter
-    // on every root and row before it is worth timing.
-    let compiled = CompiledProgram::compile(&specialized);
-    let mut ws_comp = CompiledWorkspace::new();
-    compiled.eval_batch(&group_batch, &mut ws_comp).unwrap();
-    for root in 0..specialized.num_roots() {
-        assert_eq!(
-            ws_spec.output(root),
-            ws_comp.output(root),
+        let same = ws
+            .output(root)
+            .iter()
+            .zip(cws.output(root))
+            .all(|(a, b)| a.to_bits() == b.to_bits());
+        assert!(
+            same,
             "compiled outputs drifted from interpreted at root {root}"
         );
     }
 
-    let compiled_ns = min_time_ns(iters, || {
-        compiled
-            .eval_batch(std::hint::black_box(&group_batch), &mut ws_comp)
-            .unwrap();
-        std::hint::black_box(ws_comp.output(0)[0]);
-    });
+    // Per-call time at each batch size, with enough calls per timed
+    // sample to cover ~10 000 rows, so small batches are not dominated
+    // by clock reads.
+    let mut compiled_ns_at = |rows: usize| -> f64 {
+        let b = grid_batch(rows);
+        let reps = n.div_ceil(rows);
+        let ns = min_time_ns(iters, || {
+            for _ in 0..reps {
+                compiled
+                    .eval_batch(std::hint::black_box(&b), &mut cws)
+                    .unwrap();
+                std::hint::black_box(cws.output(0)[0]);
+            }
+        });
+        ns / reps as f64
+    };
+    let compiled_ns_b30 = compiled_ns_at(30);
+    let compiled_ns_b256 = compiled_ns_at(256);
+    let compiled_ns = compiled_ns_at(n);
 
     let separate_instructions = [
         tapes.mem_fwd.len(),
@@ -226,26 +196,23 @@ fn main() {
         fused_program_ns_per_batch: fused_ns,
         fused_speedup: separate_ns / fused_ns,
         fused_rows_per_sec: n as f64 / (fused_ns * 1e-9),
-        specialized_ns_per_batch: specialized_ns,
-        specialized_speedup: fused_ns / specialized_ns,
-        specialized_rows_per_sec: n as f64 / (specialized_ns * 1e-9),
         compiled_ns_per_batch: compiled_ns,
-        compiled_speedup: specialized_ns / compiled_ns,
+        compiled_speedup: fused_ns / compiled_ns,
         compiled_rows_per_sec: n as f64 / (compiled_ns * 1e-9),
+        compiled_rows_per_sec_b30: 30.0 / (compiled_ns_b30 * 1e-9),
+        compiled_rows_per_sec_b256: 256.0 / (compiled_ns_b256 * 1e-9),
         program_instructions: tapes.program.len(),
         separate_instructions,
-        specialized_instructions: specialized.len(),
         program_registers: tapes.program.num_regs(),
-        specialized_registers: specialized.num_regs(),
         compiled_steps: compiled.num_steps(),
         compiled_superinstrs: compiled.superinstrs(),
         compiled_tier: compiled.tier_name(),
     };
     println!(
-        "separate: {:.2} ms/batch  fused: {:.2} ms/batch  specialized: {:.2} ms/batch",
+        "separate: {:.2} ms/batch  fused: {:.2} ms/batch  compiled: {:.2} ms/batch",
         result.separate_tapes_ns_per_batch / 1e6,
         result.fused_program_ns_per_batch / 1e6,
-        result.specialized_ns_per_batch / 1e6,
+        result.compiled_ns_per_batch / 1e6,
     );
     println!(
         "fused speedup: {:.1}x over separate ({} instrs vs {}, {} registers)",
@@ -255,20 +222,16 @@ fn main() {
         result.program_registers,
     );
     println!(
-        "specialized speedup: {:.1}x over fused ({} instrs, {} registers, \
-         {:.1}M rows/sec)",
-        result.specialized_speedup,
-        result.specialized_instructions,
-        result.specialized_registers,
-        result.specialized_rows_per_sec / 1e6,
-    );
-    println!(
-        "compiled speedup: {:.1}x over specialized ({} steps, {} superinstrs, \
-         {} tier, {:.1}M rows/sec)",
+        "compiled speedup: {:.1}x over fused ({} steps, {} superinstrs, {} tier)",
         result.compiled_speedup,
         result.compiled_steps,
         result.compiled_superinstrs,
         result.compiled_tier,
+    );
+    println!(
+        "compiled rows/sec: {:.1}M at 30 rows, {:.1}M at 256, {:.1}M at {n}",
+        result.compiled_rows_per_sec_b30 / 1e6,
+        result.compiled_rows_per_sec_b256 / 1e6,
         result.compiled_rows_per_sec / 1e6,
     );
     write_json("bench_symbolic", &result);
@@ -278,11 +241,7 @@ fn main() {
         "fused evaluation must not be slower than separate tapes"
     );
     assert!(
-        result.specialized_speedup >= 1.0,
-        "specialized evaluation must not be slower than the fused program"
-    );
-    assert!(
         result.compiled_speedup >= 1.0,
-        "compiled evaluation must not be slower than the interpreted residual"
+        "compiled evaluation must not be slower than the fused interpreter"
     );
 }

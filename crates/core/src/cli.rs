@@ -19,8 +19,7 @@ USAGE:
     mist-cli tune --model <NAME> --platform <l4|a100> --gpus <N> --batch <B>
                   [--space <mist|mist-fine|megatron|deepspeed|aceso|alpa|uniform>]
                   [--seq <LEN>] [--seed <N>] [--threads <N>] [--no-flash]
-                  [--no-mono-prune] [--no-compiled-eval] [--execute]
-                  [--trace <FILE>] [--metrics]
+                  [--no-mono-prune] [--execute] [--trace <FILE>] [--metrics]
                   [--json] [--journal <FILE>]
     mist-cli explain [--json] [--top <K>] <FILE>
     mist-cli lint-ir [--model <NAME>] [--platform <l4|a100>]
@@ -59,12 +58,6 @@ OPTIONS:
                    disable the proof-licensed monotone pruning of
                    provably-OOM sweep rows (results are byte-identical
                    either way; this exists to demonstrate that)
-    --no-compiled-eval
-                   evaluate sweeps through the chunked interpreter
-                   instead of the compiled direct-threaded backend with
-                   its memory-first filtered sweep (results are
-                   byte-identical either way; this exists to demonstrate
-                   that)
     --execute      run the tuned plan on the cluster simulator and report
                    the measured throughput
     --trace <FILE> write a Chrome Trace Event JSON (open in Perfetto or
@@ -77,8 +70,8 @@ OPTIONS:
     --journal <FILE>
                    record the tuner's decision journal (candidate
                    rejections, Pareto frontier summaries, DP/MILP
-                   pruning, specializer cache traffic) plus the span
-                   timeline as JSONL, for `mist-cli explain`
+                   pruning) plus the span timeline as JSONL, for
+                   `mist-cli explain`
 
 EXPLAIN:
     Digests a decision journal (from tune --journal) or a tune --json
@@ -182,7 +175,6 @@ struct Args {
     json: bool,
     journal: Option<String>,
     mono_prune: bool,
-    compiled_eval: bool,
 }
 
 fn parse_args(argv: &[String]) -> Result<Args, String> {
@@ -202,7 +194,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         json: false,
         journal: None,
         mono_prune: true,
-        compiled_eval: true,
     };
     let mut it = argv.iter();
     let need = |it: &mut std::slice::Iter<String>, flag: &str| -> Result<String, String> {
@@ -256,7 +247,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             }
             "--no-flash" => args.flash = false,
             "--no-mono-prune" => args.mono_prune = false,
-            "--no-compiled-eval" => args.compiled_eval = false,
             "--execute" => args.execute = true,
             "--trace" => args.trace = Some(need(&mut it, "--trace")?),
             "--metrics" => args.metrics = true,
@@ -323,8 +313,7 @@ fn run_tune_inner(args: &Args, telemetry_on: bool) -> Result<(), String> {
     let model = parse_model(&args.model, seq, args.flash)?;
     let mut builder = MistSession::builder(model.clone(), args.platform, args.gpus)
         .space(args.space.clone())
-        .monotone_prune(args.mono_prune)
-        .compiled_eval(args.compiled_eval);
+        .monotone_prune(args.mono_prune);
     if let Some(seed) = args.seed {
         builder = builder.seed(seed);
     }
@@ -638,19 +627,11 @@ fn run_lint_ir(args: LintArgs) -> Result<bool, String> {
                     "info": l.info_count(),
                     "programs": l.reports.iter().map(lint_report_json)
                         .collect::<Vec<_>>(),
-                    "avg_specialized_instrs": l.avg_specialized_instrs(),
-                    "specialized": l.specialized.iter().map(|s| {
-                        serde_json::json!({
-                            "instructions": s.instructions,
-                            "original_instructions": s.original_instructions,
-                            "report": lint_report_json(&s.report),
-                        })
-                    }).collect::<Vec<_>>(),
                 })
             })
             .collect();
         let out = serde_json::json!({
-            "schema_version": 2u64,
+            "schema_version": 3u64,
             "space": args.space.name,
             "errors": errors,
             "warnings": warnings,
@@ -667,11 +648,9 @@ fn run_lint_ir(args: LintArgs) -> Result<bool, String> {
     println!("space:  {}  (seq {seq})", args.space.name);
     for lint in &lints {
         println!(
-            "{}: {} programs ({} specialized, avg {:.1} instrs), {} error(s), {} warning(s), {} info",
+            "{}: {} programs, {} error(s), {} warning(s), {} info",
             lint.model,
             lint.reports.len(),
-            lint.specialized.len(),
-            lint.avg_specialized_instrs(),
             lint.error_count(),
             lint.warning_count(),
             lint.info_count()
@@ -687,22 +666,11 @@ fn run_lint_ir(args: LintArgs) -> Result<bool, String> {
                 println!("  {}: {d}", report.program);
             }
         }
-        for s in &lint.specialized {
-            for d in s
-                .report
-                .diagnostics
-                .iter()
-                .filter(|d| d.severity != Severity::Info)
-            {
-                println!("  {}: {d}", s.report.program);
-            }
-        }
     }
     println!(
-        "lint-ir: {} model(s), {} programs (+{} specialized residuals), {errors} error(s), {warnings} warning(s), {info} info",
+        "lint-ir: {} model(s), {} programs, {errors} error(s), {warnings} warning(s), {info} info",
         lints.len(),
         lints.iter().map(|l| l.reports.len()).sum::<usize>(),
-        lints.iter().map(|l| l.specialized.len()).sum::<usize>(),
     );
     Ok(errors == 0)
 }
@@ -1377,12 +1345,13 @@ mod tests {
         ]))
         .unwrap();
         assert!(!a.mono_prune);
-        assert!(a.compiled_eval, "compiled backend defaults on");
     }
 
+    /// `--no-compiled-eval` is not an option: it is reported as an
+    /// unknown option, not a panic.
     #[test]
-    fn parse_args_accepts_no_compiled_eval() {
-        let a = parse_args(&sv(&[
+    fn parse_args_rejects_no_compiled_eval() {
+        let err = parse_args(&sv(&[
             "--model",
             "gpt3-1.3b",
             "--gpus",
@@ -1391,9 +1360,8 @@ mod tests {
             "8",
             "--no-compiled-eval",
         ]))
-        .unwrap();
-        assert!(!a.compiled_eval);
-        assert!(a.mono_prune, "pruning stays on by default");
+        .err();
+        assert_eq!(err.as_deref(), Some("unknown option `--no-compiled-eval`"));
     }
 
     #[test]

@@ -37,8 +37,7 @@ use mist_hardware::{
 use mist_irlint::{DomainMap, SymbolDomain, Unit, UnitRegistry};
 use mist_models::ModelSpec;
 use mist_symbolic::{
-    BatchBindings, CmpOp, CompiledWorkspace, Context, EvalWorkspace, FrozenSymbols, Program,
-    SymbolicError, Tape,
+    BatchBindings, CmpOp, CompiledWorkspace, Context, EvalWorkspace, Program, SymbolicError, Tape,
 };
 use serde::{Deserialize, Serialize};
 
@@ -54,41 +53,6 @@ use crate::trace::{trace_embedding, trace_head, trace_layer};
 /// `inflight` — in-flight microbatches at this stage under 1F1B
 /// (`min(G, S − stage_index)`).
 pub const SYMS: [&str; 8] = ["L", "ckpt", "zero", "wo", "go", "oo", "ao", "inflight"];
-
-/// The search knobs a frontier sweep varies *within* one specialization
-/// group: every other symbol in [`SYMS`] is frozen by
-/// [`sweep_frozen_symbols`] (with `ckpt` frozen too when the sweep pins
-/// it, e.g. under `CkptMode::None`).
-pub const SWEEP_VARYING: [&str; 2] = ["L", "ckpt"];
-
-/// The frozen-symbol set of one frontier-sweep group, for
-/// [`mist_symbolic::specialize`].
-///
-/// The tuner's intra-stage sweep enumerates the cross product of layer
-/// counts, ZeRO levels and offload combinations; grouping rows by
-/// `(zero, offload)` leaves only `L` (and `ckpt`, when it is searched)
-/// varying inside a group, so everything else specializes away.
-/// `ckpt: Some(v)` additionally freezes the checkpoint knob — pass it
-/// when the sweep pins checkpointing (e.g. fully off).
-pub fn sweep_frozen_symbols(
-    zero: u8,
-    offload: [f64; 4],
-    inflight: u32,
-    ckpt: Option<u32>,
-) -> FrozenSymbols {
-    let mut pairs = vec![
-        ("zero", f64::from(zero)),
-        ("wo", offload[0]),
-        ("go", offload[1]),
-        ("oo", offload[2]),
-        ("ao", offload[3]),
-        ("inflight", f64::from(inflight)),
-    ];
-    if let Some(c) = ckpt {
-        pairs.push(("ckpt", f64::from(c)));
-    }
-    FrozenSymbols::new(pairs)
-}
 
 /// Declared units of the [`SYMS`] symbols and the stage roots, for the
 /// `mist-irlint` static analyzer.

@@ -27,9 +27,8 @@ mod op;
 mod trace;
 
 pub use analyze::{
-    stage_domains, stage_roots, stage_unit_registry, sweep_frozen_symbols, StageAnalyzer,
-    StageCandidate, StageConfigValues, StagePoint, StageRole, StageTapes, StreamTapes,
-    SWEEP_VARYING, SYMS,
+    stage_domains, stage_roots, stage_unit_registry, StageAnalyzer, StageCandidate,
+    StageConfigValues, StagePoint, StageRole, StageTapes, StreamTapes, SYMS,
 };
 pub use liveness::{profile_layer, LayerProfile};
 pub use op::{TracedOp, TracedOpKind};

@@ -13,7 +13,7 @@
 //!
 //! * **Blocked registers.** Instead of full batch-length columns (80 KB
 //!   each at 10k rows — far beyond L1), every register is a fixed
-//!   [`BLOCK`]-row block (`128 × 8 B = 1 KiB`). A residual's entire
+//!   [`BLOCK`]-row block (`128 × 8 B = 1 KiB`). A stage program's entire
 //!   register file stays resident in L1d while all its steps run over
 //!   one block, then the next block starts. Partial tail blocks run the
 //!   full-width kernels over stale-but-initialized garbage lanes —
@@ -45,9 +45,8 @@
 //!   bits — deterministic operations on equal inputs give equal
 //!   results.
 //!
-//! Compilation is skipped (callers stay on the interpreter) only when
-//! the caller opts out — e.g. the tuner's `--no-compiled-eval` A/B
-//! flag; there is no program shape the backend cannot lower.
+//! There is no program shape the backend cannot lower; the interpreter
+//! remains the simple reference the backend is tested against.
 
 use std::collections::HashMap;
 
@@ -58,7 +57,7 @@ use crate::program::{Op, Program, SymbolTable};
 use crate::tape::{BatchBindings, Column};
 
 /// Rows per register block. 128 doubles = 1 KiB per register: a
-/// residual's whole register file fits in L1d, and the fixed-width
+/// stage program's whole register file fits in L1d, and the fixed-width
 /// kernel loops compile to straight-line vector code.
 pub const BLOCK: usize = 128;
 
@@ -401,7 +400,7 @@ struct RawStep {
 /// roots pay a per-block strided write into their column; the rest are
 /// recognized at lowering time and filled (or aliased) in one sequential
 /// pass, which is what keeps copy-out off the critical path when a
-/// residual has constant, symbol or duplicate roots.
+/// program has constant, symbol or duplicate roots.
 #[derive(Debug, Clone, Copy)]
 enum RootPlan {
     /// Computed value: copied out of this register block by block.

@@ -4,7 +4,7 @@
 //! flat step table with one indirect call per instruction per row
 //! block, so every instruction it can *remove* saves a dispatch and a
 //! full block of intermediate traffic. This pass rewrites a program —
-//! typically a specialized residual — by fusing three IEEE-exact
+//! typically a fused stage program — by fusing three IEEE-exact
 //! patterns into the superinstruction opcodes of [`crate::Instr`]:
 //!
 //! * a binary `Mul` whose only user is an `Add` fold folds into the

@@ -29,11 +29,10 @@
 //!   ([`Tape::eval_batch`]) entry points. Hot paths that evaluate many
 //!   roots per batch should fuse them via
 //!   [`Context::compile_program`] instead of looping over tapes.
-//! * [`specialize`] — the partial-evaluation pass pipeline: freezing
-//!   the symbols a tuner sweep holds constant folds, simplifies and
-//!   branch-deletes the program down to a residual over just the
-//!   varying knobs, with byte-identical results (see the
-//!   `passes` module docs for the pipeline and exactness rules).
+//! * [`CompiledProgram`] — the production evaluator: a [`Program`]
+//!   after superinstruction fusion, lowered to a direct-threaded step
+//!   table over L1-resident register blocks, bit-identical to
+//!   [`Program::eval_batch`] (see the `compiled` module docs).
 //!
 //! # Example
 //!
@@ -58,7 +57,6 @@ mod display;
 mod error;
 mod fuse;
 mod node;
-mod passes;
 mod program;
 mod tape;
 
@@ -67,9 +65,5 @@ pub use context::{Context, Expr};
 pub use error::SymbolicError;
 pub use fuse::fuse_superinstructions;
 pub use node::{CmpOp, ExprId, Node, SymbolId};
-pub use passes::{
-    specialize, specialize_with_stats, FrozenSymbols, GuardFact, SlotRange, SpecializeStats,
-    SweepFacts,
-};
 pub use program::{EvalWorkspace, Instr, Program, SymbolTable};
 pub use tape::{BatchBindings, Column, Tape};

@@ -295,7 +295,7 @@ impl Instr<'_> {
 #[derive(Debug, Clone)]
 pub struct Program {
     /// Process-unique identity (clones share it — they are the same
-    /// program). Keys the tuner's specialization cache and the
+    /// program). Keys the tuner's compile cache and the
     /// workspace's prepared-state check.
     pub(crate) id: u64,
     pub(crate) ops: Vec<Op>,
@@ -413,9 +413,8 @@ impl Program {
     }
 
     /// Process-unique program identity. Clones share the id (they are
-    /// the same program); every compile or specialization produces a
-    /// fresh one. Suitable as a cache key together with a
-    /// frozen-symbol fingerprint.
+    /// the same program); every compile or fusion produces a fresh
+    /// one. Suitable as a cache key.
     pub fn id(&self) -> u64 {
         self.id
     }

@@ -148,22 +148,44 @@ fn arb_event() -> BoxedStrategy<JournalEvent> {
     // contractually bounded to i64::MAX. Every journal integer is a
     // process-local counter or sequential id, so the bound holds by
     // construction; the generator respects it.
-    let cache = (
-        prop_oneof![Just(true), Just(false)],
+    let prune = (
+        (1u32..16, 1u32..16, arb_role()),
+        (1u32..64, 1u32..64),
+        prop::collection::vec(1u32..128, 0..8),
         0u64..i64::MAX as u64,
-        0u32..100_000,
-        0u32..100_000,
     )
         .prop_map(
-            |(hit, program, original, residual)| JournalEvent::SpecializeCache {
-                hit,
-                program,
-                original,
-                residual,
+            |((mesh_nodes, mesh_gpus, role), (inflight, floor), layers, rows)| {
+                JournalEvent::MonotonePrune {
+                    mesh_nodes,
+                    mesh_gpus,
+                    role,
+                    inflight,
+                    floor,
+                    layers,
+                    rows,
+                }
             },
         )
         .boxed();
-    prop_oneof![frontier, outer, incumbent, dp, milp, cache].boxed()
+    let cert = (
+        prop::sample::select(vec![
+            "tune".to_string(),
+            "serve".to_string(),
+            "verify".to_string(),
+        ]),
+        1u32..64,
+        prop_oneof![Just(true), Just(false)],
+        prop::collection::vec(arb_role(), 0..4),
+    )
+        .prop_map(|(phase, stages, ok, failures)| JournalEvent::CertCheck {
+            phase,
+            stages,
+            ok,
+            failures,
+        })
+        .boxed();
+    prop_oneof![frontier, outer, incumbent, dp, milp, prune, cert].boxed()
 }
 
 proptest! {

@@ -86,7 +86,10 @@ pub struct Tuner<'a> {
     budget: Option<f64>,
     seed: Option<Arc<FrontierExport>>,
     mono_prune: bool,
-    compiled_eval: bool,
+    // Test-only seam: sweep through the intra-stage tuner's row-by-row
+    // interpreter reference instead of the columnar sweep.
+    #[cfg(test)]
+    reference_sweep: bool,
 }
 
 impl<'a> Tuner<'a> {
@@ -109,7 +112,8 @@ impl<'a> Tuner<'a> {
             budget: None,
             seed: None,
             mono_prune: true,
-            compiled_eval: true,
+            #[cfg(test)]
+            reference_sweep: false,
         }
     }
 
@@ -148,16 +152,6 @@ impl<'a> Tuner<'a> {
     /// — so the toggle exists for A/B studies and byte-identity tests.
     pub fn with_monotone_prune(mut self, enabled: bool) -> Self {
         self.mono_prune = enabled;
-        self
-    }
-
-    /// Enables or disables the compiled evaluation backend (default on):
-    /// superinstruction-fused, direct-threaded kernels and the
-    /// memory-first filtered sweep. The backend is bit-identical to the
-    /// interpreter, so the plan never changes — the toggle exists for
-    /// A/B studies and byte-identity tests.
-    pub fn with_compiled_eval(mut self, enabled: bool) -> Self {
-        self.compiled_eval = enabled;
         self
     }
 
@@ -229,9 +223,11 @@ impl<'a> Tuner<'a> {
         if let Some(seed) = &self.seed {
             intra = intra.with_seed(Arc::clone(seed));
         }
-        intra
-            .with_monotone_prune(self.mono_prune)
-            .with_compiled_eval(self.compiled_eval)
+        #[cfg(test)]
+        if self.reference_sweep {
+            intra = intra.with_reference_sweep();
+        }
+        intra.with_monotone_prune(self.mono_prune)
     }
 
     /// Runs the full hierarchical tuning loop.
@@ -438,11 +434,9 @@ impl<'a> Tuner<'a> {
         // capture everything this tune added on top of the baseline. The
         // explicit inserts keep `telemetry` self-contained even when the
         // collector is disabled and the publish above was a no-op.
-        let spec_hits = intra.specializer().cache_hits();
-        let spec_misses = intra.specializer().cache_misses();
-        let compile_hits = intra.specializer().compile_hits();
-        let compile_misses = intra.specializer().compile_misses();
-        let superinstrs = intra.specializer().superinstrs_high_water();
+        let compile_hits = intra.compile_cache().hits();
+        let compile_misses = intra.compile_cache().misses();
+        let superinstrs = intra.compile_cache().superinstrs_high_water();
         let rej = intra.rejections();
         let (rej_oom, rej_nonfinite, rej_dominated, rej_mono_pruned) = (
             rej.oom.value(),
@@ -471,13 +465,11 @@ impl<'a> Tuner<'a> {
         collector.counter_add("tuner.rejections.out_of_budget", out_of_budget);
         collector.counter_add("tuner.rejections.bound_pruned", bound_pruned);
         collector.gauge_set("frontier.size", frontier_size);
-        collector.counter_add("specializer.cache_hits", spec_hits);
-        collector.counter_add("specializer.cache_misses", spec_misses);
         if compile_hits + compile_misses > 0 {
-            // Published only when the compiled backend actually ran, so
-            // `--no-compiled-eval` telemetry stays byte-identical to
-            // older builds (the same cold-stability rule as seeding and
-            // monotone pruning above).
+            // Published only when a sweep actually ran (an exact warm
+            // start or the uniform-stages heuristic compiles nothing) —
+            // the same stability rule as seeding and monotone pruning
+            // above.
             collector.counter_add("tuner.compile.hits", compile_hits);
             collector.counter_add("tuner.compile.misses", compile_misses);
         }
@@ -549,14 +541,6 @@ impl<'a> Tuner<'a> {
             .gauges
             .entry("frontier.size".to_owned())
             .or_insert(frontier_size);
-        telemetry
-            .counters
-            .entry("specializer.cache_hits".to_owned())
-            .or_insert(spec_hits);
-        telemetry
-            .counters
-            .entry("specializer.cache_misses".to_owned())
-            .or_insert(spec_misses);
         if compile_hits + compile_misses > 0 {
             telemetry
                 .counters
@@ -773,15 +757,8 @@ mod tests {
             out.telemetry.counter("tuner.outer_candidates"),
             out.stats.outer_candidates as u64
         );
-        // The default sweep runs through the compiled backend — step
-        // tables get built, residual specialization sees no traffic —
-        // and both caches' activity is part of the self-contained
-        // telemetry.
-        assert!(out
-            .telemetry
-            .counters
-            .contains_key("specializer.cache_hits"));
-        assert_eq!(out.telemetry.counter("specializer.cache_misses"), 0);
+        // The sweep builds step tables, and the compile cache's activity
+        // is part of the self-contained telemetry.
         assert!(
             out.telemetry.counter("tuner.compile.misses") > 0,
             "tuning must have compiled at least one program"
@@ -967,13 +944,14 @@ mod tests {
         );
     }
 
-    /// The compiled backend must be invisible in the output: plan,
-    /// Pareto samples, predicted numbers, rejection attribution and the
-    /// `configs_evaluated` accounting are all byte-identical with the
-    /// backend on and off — the memory-first filter changes which rows
-    /// pay for the 22-root program, never how rows are counted. The
-    /// tight budget forces real OOM rejections through both the `∞`
-    /// marker path and the mem-first filter.
+    /// The columnar sweep over compiled programs must be invisible in
+    /// the output: plan, Pareto samples, predicted numbers, rejection
+    /// attribution and the `configs_evaluated` accounting are all
+    /// byte-identical to the row-by-row interpreter reference — the
+    /// memory-first filter changes which rows pay for the 22-root
+    /// program, never how rows are counted. The tight budget forces real
+    /// OOM rejections through both the `∞` marker path and the
+    /// mem-first filter.
     #[test]
     fn compiled_eval_is_byte_identical() {
         let model = gpt3(ModelSize::B6_7, 2048, AttentionImpl::Flash);
@@ -981,73 +959,77 @@ mod tests {
         let db = OpCostDb::new(GpuSpec::l4());
         let intf = InterferenceModel::pcie_defaults();
         let space = SearchSpace::mist();
-        let run = |compiled: bool| {
-            Tuner::new(&model, &cluster, &db, &space, &intf)
+        let run = |reference: bool| {
+            let mut tuner = Tuner::new(&model, &cluster, &db, &space, &intf)
                 .with_max_grad_accum(8)
-                .with_budget(3e9)
-                .with_compiled_eval(compiled)
+                .with_budget(3e9);
+            tuner.reference_sweep = reference;
+            tuner
                 .tune(16)
                 .expect("6.7B at a 3 GB budget must still be tunable")
         };
-        let off = run(false);
-        let on = run(true);
+        let reference = run(true);
+        let columnar = run(false);
 
         assert_eq!(
-            serde_json::to_string(&off.plan).unwrap(),
-            serde_json::to_string(&on.plan).unwrap()
+            serde_json::to_string(&reference.plan).unwrap(),
+            serde_json::to_string(&columnar.plan).unwrap()
         );
         assert_eq!(
-            serde_json::to_string(&off.stage_points).unwrap(),
-            serde_json::to_string(&on.stage_points).unwrap()
+            serde_json::to_string(&reference.stage_points).unwrap(),
+            serde_json::to_string(&columnar.stage_points).unwrap()
         );
         assert_eq!(
-            off.predicted_iteration.to_bits(),
-            on.predicted_iteration.to_bits()
+            reference.predicted_iteration.to_bits(),
+            columnar.predicted_iteration.to_bits()
         );
         assert_eq!(
-            off.predicted_throughput.to_bits(),
-            on.predicted_throughput.to_bits()
+            reference.predicted_throughput.to_bits(),
+            columnar.predicted_throughput.to_bits()
         );
         // The filter never changes accounting: every enumerated row is
-        // attributed to exactly the same bucket under both backends.
-        assert_eq!(off.stats.configs_evaluated, on.stats.configs_evaluated);
+        // attributed to exactly the same bucket by both sweeps.
+        assert_eq!(
+            reference.stats.configs_evaluated,
+            columnar.stats.configs_evaluated
+        );
         for key in [
             "tuner.rejections.oom",
             "tuner.rejections.nonfinite",
             "tuner.rejections.dominated",
         ] {
             assert_eq!(
-                off.telemetry.counter(key),
-                on.telemetry.counter(key),
-                "{key} must not change under the compiled backend"
+                reference.telemetry.counter(key),
+                columnar.telemetry.counter(key),
+                "{key} must not change under the columnar sweep"
             );
         }
         assert!(
-            on.telemetry.counter("tuner.rejections.oom") > 0,
+            columnar.telemetry.counter("tuner.rejections.oom") > 0,
             "the tight budget must reject rows through the mem-first filter"
         );
-        // Cache telemetry: compiled runs surface the step-table cache,
-        // interpreter-only runs must not grow new keys.
+        // Cache telemetry: columnar runs surface the step-table cache,
+        // reference runs compile nothing and grow no keys.
         assert!(
-            on.telemetry.counter("tuner.compile.misses") > 0,
+            columnar.telemetry.counter("tuner.compile.misses") > 0,
             "compiled runs must build at least one step table"
         );
         assert!(
-            on.telemetry.counter("tuner.compile.hits") > 0,
-            "the mem_pair residual recurs within each group, so the \
-             compile cache must hit"
+            columnar.telemetry.counter("tuner.compile.hits") > 0,
+            "every batch and frontier key reuses its tapes' programs, so \
+             the compile cache must hit"
         );
         assert!(
-            on.telemetry.gauge("symbolic.program.superinstrs") > 0.0,
+            columnar.telemetry.gauge("symbolic.program.superinstrs") > 0.0,
             "real sweep programs must contain fusible op pairs"
         );
         for key in ["tuner.compile.hits", "tuner.compile.misses"] {
             assert!(
-                !off.telemetry.counters.contains_key(key),
-                "interpreter-only runs must not grow new telemetry keys"
+                !reference.telemetry.counters.contains_key(key),
+                "reference runs must not grow new telemetry keys"
             );
         }
-        assert!(!off
+        assert!(!reference
             .telemetry
             .gauges
             .contains_key("symbolic.program.superinstrs"));

@@ -24,7 +24,7 @@
 //!   counts share one batch — the frontier for every `l` falls out of a
 //!   single evaluation pass.
 //!
-//! The production sweep is columnar: each `(dp, tp, b)` candidate runs
+//! The sweep is columnar: each `(dp, tp, b)` candidate runs
 //! as a few large batches over all of its `(zero, offload, L)` rows
 //! (capped at [`SWEEP_BATCH_ROWS`], cut at whole `(zero, offload)`
 //! groups) through the generic compiled stage programs. Checkpoint
@@ -32,17 +32,20 @@
 //! 22-root program only over the rows that fit, and `(t, d)` comes
 //! straight from the output columns. Only rows that survive an exact
 //! per-layer dominance prefilter ([`prefilter`]) are materialized as
-//! [`ParetoPoint`]s — a small fraction of the feasible rows. The
-//! interpreter (`with_compiled_eval(false)`) keeps the row-by-row
-//! per-group sweep as the reference both backends are tested against.
+//! [`ParetoPoint`]s — a small fraction of the feasible rows.
+//!
+//! Unit tests check it against a test-only row-by-row reference that
+//! runs the same generic programs through the
+//! [`Program`](mist_symbolic::Program) interpreter, one `(zero,
+//! offload)` group at a time, and builds a point for every feasible row.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 
 use mist_graph::{
-    stage_roots, sweep_frozen_symbols, StageAnalyzer, StageCandidate, StageConfigValues,
-    StagePoint, StageRole, StageTapes,
+    stage_roots, StageAnalyzer, StageCandidate, StageConfigValues, StagePoint, StageRole,
+    StageTapes,
 };
 use mist_hardware::{ClusterSpec, DeviceMesh, OpCostDb};
 use mist_interference::InterferenceModel;
@@ -50,14 +53,14 @@ use mist_irlint::{monotonicity, root_intervals, DomainMap, SymbolDomain};
 use mist_models::ModelSpec;
 use mist_pool::ThreadPool;
 use mist_schedule::{stage_times, stage_times_of};
-use mist_symbolic::{BatchBindings, CompiledProgram, CompiledWorkspace, EvalWorkspace};
+use mist_symbolic::{BatchBindings, CompiledProgram, CompiledWorkspace};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
+use crate::compile_cache::CompileCache;
 use crate::pareto::{pareto_frontier, prefilter, sample_frontier};
 use crate::seed::{role_rank, BudgetProof, FrontierExport, FrontierRecord, SeedCandidate};
 use crate::space::{CkptMode, SearchSpace};
-use crate::specialize::Specializer;
 
 /// One sampled point of an intra-stage Pareto frontier: the `(t, d)`
 /// value plus everything needed to reconstruct and execute the plan.
@@ -120,7 +123,7 @@ pub(crate) struct SweepTally {
     /// of the sweep (`-∞` before any candidate merges in). When finite
     /// and at most the budget, licenses [`BudgetProof::StaticFit`].
     pub mem_hi: f64,
-    /// Wall-clock per sweep phase (compiled backend only).
+    /// Wall-clock per sweep phase.
     pub phases: SweepPhases,
 }
 
@@ -154,10 +157,15 @@ impl SweepTally {
 
 /// Seconds spent in each phase of the columnar sweep, accumulated per
 /// candidate with one `Instant` read per phase boundary and batch (never
-/// per row) and merged in submission order. Published by the driver as
+/// per row) and merged in submission order; tape builds and compiles are
+/// timed on cache misses only. Published by the driver as
 /// `tuner.phase.<name>_secs` gauges.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct SweepPhases {
+    /// Stage analysis into [`StageTapes`] (tape-cache misses).
+    pub tape: f64,
+    /// Lowering stage programs to step tables (compile-cache misses).
+    pub compile: f64,
     /// The three `mem_pair` checkpoint probes and `minimal_ckpt`.
     pub ckpt_probe: f64,
     /// The memory-first `mem_pair` pass at the resolved `ckpt`.
@@ -174,6 +182,8 @@ pub(crate) struct SweepPhases {
 
 impl SweepPhases {
     fn merge(&mut self, other: &SweepPhases) {
+        self.tape += other.tape;
+        self.compile += other.compile;
         self.ckpt_probe += other.ckpt_probe;
         self.mem_first += other.mem_first;
         self.eval += other.eval;
@@ -183,8 +193,10 @@ impl SweepPhases {
     }
 
     /// `(name, seconds)` per phase, in sweep order.
-    pub(crate) fn entries(&self) -> [(&'static str, f64); 6] {
+    pub(crate) fn entries(&self) -> [(&'static str, f64); 8] {
         [
+            ("tape", self.tape),
+            ("compile", self.compile),
             ("ckpt_probe", self.ckpt_probe),
             ("mem_first", self.mem_first),
             ("eval", self.eval),
@@ -360,11 +372,10 @@ pub struct IntraStageTuner<'a> {
     // inflight) — the `BudgetProof::StaticFit` derivation, cached
     // because candidates recur across frontier keys.
     mem_hi_cache: Mutex<HashMap<(usize, u32), f64>>,
-    // Per-sweep program specialization: residual programs per
-    // (program, frozen-group) pair plus the sweep-domain guard facts.
-    specializer: Specializer,
+    // Step tables of the generic stage programs, one per tapes.
+    compile_cache: CompileCache,
     // The exact symbol ranges this tuner's space sweeps — the soundness
-    // domain of the specializer's guard facts.
+    // domain of the monotonicity and static budget proofs.
     domains: DomainMap,
     // Per-instance telemetry counter (not the global registry): cache-hit
     // semantics are part of this type's contract and tests compare exact
@@ -375,20 +386,18 @@ pub struct IntraStageTuner<'a> {
     rejections: RejectionCounters,
     // High-water sampled frontier size across all (key, layer) families.
     frontier_size: mist_telemetry::Gauge,
-    // Direct-threaded evaluation through the compiled backend, with the
-    // memory-first filtered sweep (default on). Bit-identical to the
-    // interpreter, so this toggle exists for A/B studies and the
-    // byte-identity tests — mirroring `mono_prune`.
-    compiled_eval: bool,
-    // Reused across batch evaluations: register and output columns are
-    // allocated once per concurrent evaluator and recycled for the whole
-    // search. Tasks check a workspace out, use it, and return it.
-    workspaces: Mutex<Vec<EvalWorkspace>>,
-    // Same pooling for the compiled backend's block-register scratch.
-    compiled_workspaces: Mutex<Vec<CompiledWorkspace>>,
-    // Columnar-sweep phase timers, summed over every computed frontier
-    // key (driver publication).
+    // Reused across batch evaluations: block registers and output
+    // columns are allocated once per concurrent evaluator and recycled
+    // for the whole search. Tasks check a workspace out, use it, and
+    // return it.
+    workspaces: Mutex<Vec<CompiledWorkspace>>,
+    // Sweep phase timers, summed over every computed frontier key and
+    // tape build (driver publication).
     phases: Mutex<SweepPhases>,
+    // Test-only seam: sweep through the row-by-row interpreter
+    // reference instead of the columnar sweep.
+    #[cfg(test)]
+    reference_sweep: bool,
 }
 
 impl<'a> IntraStageTuner<'a> {
@@ -421,15 +430,15 @@ impl<'a> IntraStageTuner<'a> {
             pending_floors: Mutex::new(Vec::new()),
             mono_proofs: Mutex::new(HashMap::new()),
             mem_hi_cache: Mutex::new(HashMap::new()),
-            specializer: Specializer::new(),
+            compile_cache: CompileCache::new(),
             domains: space.symbol_domains(model),
             configs_evaluated: mist_telemetry::Counter::new(),
             rejections: RejectionCounters::new(),
             frontier_size: mist_telemetry::Gauge::new(),
-            compiled_eval: true,
             workspaces: Mutex::new(Vec::new()),
-            compiled_workspaces: Mutex::new(Vec::new()),
             phases: Mutex::new(SweepPhases::default()),
+            #[cfg(test)]
+            reference_sweep: false,
         }
     }
 
@@ -445,17 +454,6 @@ impl<'a> IntraStageTuner<'a> {
     /// studies and the byte-identity tests.
     pub fn with_monotone_prune(mut self, enabled: bool) -> Self {
         self.mono_prune = enabled;
-        self
-    }
-
-    /// Enables or disables the compiled evaluation backend (default on):
-    /// superinstruction-fused, direct-threaded kernels plus the
-    /// memory-first filtered sweep. The backend is bit-identical to the
-    /// interpreter on every root and row, so frontiers, accounting and
-    /// journal order never change — the toggle exists for A/B studies
-    /// and the byte-identity tests.
-    pub fn with_compiled_eval(mut self, enabled: bool) -> Self {
-        self.compiled_eval = enabled;
         self
     }
 
@@ -481,23 +479,13 @@ impl<'a> IntraStageTuner<'a> {
     }
 
     /// Checks a reusable evaluation workspace out of the pool.
-    fn take_workspace(&self) -> EvalWorkspace {
+    fn take_workspace(&self) -> CompiledWorkspace {
         self.workspaces.lock().pop().unwrap_or_default()
     }
 
     /// Returns a workspace for the next task to reuse.
-    fn put_workspace(&self, ws: EvalWorkspace) {
+    fn put_workspace(&self, ws: CompiledWorkspace) {
         self.workspaces.lock().push(ws);
-    }
-
-    /// Checks a compiled-backend workspace out of the pool.
-    fn take_compiled_workspace(&self) -> CompiledWorkspace {
-        self.compiled_workspaces.lock().pop().unwrap_or_default()
-    }
-
-    /// Returns a compiled-backend workspace for the next task to reuse.
-    fn put_compiled_workspace(&self, ws: CompiledWorkspace) {
-        self.compiled_workspaces.lock().push(ws);
     }
 
     /// Number of configurations evaluated so far (tuning-time studies).
@@ -510,9 +498,9 @@ impl<'a> IntraStageTuner<'a> {
         self.seeded.value()
     }
 
-    /// The per-sweep program specialization cache (telemetry surfacing).
-    pub fn specializer(&self) -> &Specializer {
-        &self.specializer
+    /// The compiled stage-program cache (driver publication).
+    pub(crate) fn compile_cache(&self) -> &CompileCache {
+        &self.compile_cache
     }
 
     /// Rejection attribution counters (driver publication).
@@ -520,10 +508,13 @@ impl<'a> IntraStageTuner<'a> {
         &self.rejections
     }
 
-    /// Columnar-sweep phase timers summed over every frontier key
-    /// computed so far (all zero under the interpreter).
+    /// Sweep phase timers summed over every frontier key computed and
+    /// every tape build and compile so far.
     pub(crate) fn sweep_phases(&self) -> SweepPhases {
-        *self.phases.lock()
+        SweepPhases {
+            compile: self.compile_cache.compile_secs(),
+            ..*self.phases.lock()
+        }
     }
 
     /// Largest sampled per-layer frontier seen so far.
@@ -798,8 +789,10 @@ impl<'a> IntraStageTuner<'a> {
             return hit.clone();
         }
         mist_telemetry::counter_add("intra.tape_compiles", 1);
+        let start = Instant::now();
         let analyzer = StageAnalyzer::new(self.model, self.cluster, self.db);
         let tapes = Arc::new(analyzer.analyze(cand));
+        self.phases.lock().tape += start.elapsed().as_secs_f64();
         // Two tasks can race to compile the same key; the first insert
         // wins so every caller shares one allocation (`Arc::ptr_eq`).
         self.tape_cache.lock().entry(key).or_insert(tapes).clone()
@@ -854,7 +847,6 @@ impl<'a> IntraStageTuner<'a> {
         let partials = self.pool.map_ordered(cands, |cand| {
             let tapes = self.tapes(&cand);
             let mut ws = self.take_workspace();
-            let mut cws = self.take_compiled_workspace();
             let mut partial: Vec<Vec<ParetoPoint>> = vec![Vec::new(); max_layers as usize];
             let mut tally = SweepTally {
                 mem_hi: self.static_mem_hi(&tapes, key.inflight),
@@ -867,11 +859,9 @@ impl<'a> IntraStageTuner<'a> {
                 max_layers,
                 &mut partial,
                 &mut ws,
-                &mut cws,
                 &mut tally,
             );
             self.put_workspace(ws);
-            self.put_compiled_workspace(cws);
             (partial, tally)
         });
         let mut per_l: Vec<Vec<ParetoPoint>> = vec![Vec::new(); max_layers as usize];
@@ -889,9 +879,9 @@ impl<'a> IntraStageTuner<'a> {
             "every enumerated row must be attributed to exactly one outcome"
         );
 
-        // Pareto-reduce and sample each layer count. Under the compiled
-        // backend `per_l` holds only the prefilter survivors, which
-        // select exactly the points the full feasible list would.
+        // Pareto-reduce and sample each layer count. `per_l` holds only
+        // the prefilter survivors, which select exactly the points the
+        // full feasible list would.
         let mut mark = Instant::now();
         for points in per_l.iter_mut() {
             if points.is_empty() {
@@ -904,10 +894,8 @@ impl<'a> IntraStageTuner<'a> {
             kept.sort_by(|a, b| a.t.total_cmp(&b.t));
             *points = kept;
         }
-        if self.compiled_eval {
-            tally.phases.pareto += lap(&mut mark);
-            self.phases.lock().merge(&tally.phases);
-        }
+        tally.phases.pareto += lap(&mut mark);
+        self.phases.lock().merge(&tally.phases);
 
         let sizes: Vec<u32> = per_l.iter().map(|p| p.len() as u32).collect();
         let survived: u64 = sizes.iter().map(|&s| s as u64).sum();
@@ -951,21 +939,15 @@ impl<'a> IntraStageTuner<'a> {
     }
 
     /// Batch-evaluates one `(dp, tp, b)` candidate over all layer counts,
-    /// ZeRO levels and offload combos, appending feasible points to
-    /// `per_l` (under the compiled backend, only the points that survive
-    /// the dominance prefilter).
+    /// ZeRO levels and offload combos through [`Self::sweep_columnar`],
+    /// appending the feasible points that survive the dominance
+    /// prefilter to `per_l`.
     ///
     /// Rows are enumerated in `(zero, offload, L)` order: ZeRO-outer,
     /// offload-inner, one row per retained layer count. Each `per_l[l]`
     /// therefore receives its points in `(zero, offload)` order at any
     /// batch shape, so downstream Pareto reduction selects the same
-    /// points on both backends.
-    ///
-    /// The compiled backend (default on) runs the columnar sweep of
-    /// [`Self::sweep_columnar`]. The interpreter (`--no-compiled-eval`)
-    /// runs [`Self::sweep_interpreted`], the row-by-row reference the
-    /// columnar sweep is checked against. Both produce the same
-    /// frontiers, tallies, outcome flags and journal events.
+    /// points as a row-by-row sweep.
     #[allow(clippy::too_many_arguments)]
     fn evaluate_candidate(
         &self,
@@ -974,8 +956,7 @@ impl<'a> IntraStageTuner<'a> {
         key: FrontierKey,
         max_layers: u32,
         per_l: &mut [Vec<ParetoPoint>],
-        ws: &mut EvalWorkspace,
-        cws: &mut CompiledWorkspace,
+        ws: &mut CompiledWorkspace,
         tally: &mut SweepTally,
     ) {
         let rows_per_l =
@@ -1029,11 +1010,7 @@ impl<'a> IntraStageTuner<'a> {
             .add(retained.len() as u64 * rows_per_l);
 
         let mut flags = LayerFlags::new(retained.len());
-        if self.compiled_eval {
-            self.sweep_columnar(cand, tapes, key, &retained, per_l, cws, tally, &mut flags);
-        } else {
-            self.sweep_interpreted(cand, tapes, key, &retained, per_l, ws, tally, &mut flags);
-        }
+        self.sweep_columnar(cand, tapes, key, &retained, per_l, ws, tally, &mut flags);
 
         // Record new all-OOM floors for larger in-flight counts. Only
         // pending here — `frontiers_batch` commits between levels so
@@ -1053,7 +1030,7 @@ impl<'a> IntraStageTuner<'a> {
         }
     }
 
-    /// The compiled backend's sweep: the candidate's rows run as
+    /// The intra-stage sweep: the candidate's rows run as
     /// columnar batches of whole `(zero, offload)` groups, at most
     /// [`SWEEP_BATCH_ROWS`] rows each, through the *generic* stage
     /// programs compiled once per tapes (`zero`, the offload ratios and
@@ -1077,7 +1054,7 @@ impl<'a> IntraStageTuner<'a> {
     /// Every evaluation is bit-identical to the interpreter row by row,
     /// the survivors keep row order, and the prefilter is exact over any
     /// contiguous cut of a layer's point list, so the sampled frontiers
-    /// match [`Self::sweep_interpreted`] byte for byte.
+    /// match a row-by-row sweep byte for byte.
     #[allow(clippy::too_many_arguments)]
     fn sweep_columnar(
         &self,
@@ -1090,12 +1067,16 @@ impl<'a> IntraStageTuner<'a> {
         tally: &mut SweepTally,
         flags: &mut LayerFlags,
     ) {
+        #[cfg(test)]
+        if self.reference_sweep {
+            return self.sweep_reference(cand, tapes, key, retained, per_l, tally, flags);
+        }
         // `tapes.program` and `tapes.mem_pair` are shared by every batch
         // of this candidate and by every frontier key that reuses its
         // tapes, so the content-addressed compile cache hits almost
         // always.
-        let prog = self.specializer.compiled(&tapes.program);
-        let mem = self.specializer.compiled(&tapes.mem_pair);
+        let prog = self.compile_cache.compiled(&tapes.program);
+        let mem = self.compile_cache.compiled(&tapes.mem_pair);
         let zeros = self.space.zero_levels();
         let combos = self.space.offload_combos();
         let group = |g: usize| (zeros[g / combos.len()], combos[g % combos.len()]);
@@ -1162,8 +1143,8 @@ impl<'a> IntraStageTuner<'a> {
                     flags.recheck_oom[r % nr] = true;
                 } else {
                     // The exact complement of the `> budget` rejection
-                    // the interpreter applies to these same values, so
-                    // every row lands in the same bucket on both backends.
+                    // a row-by-row sweep applies to these same values,
+                    // so every row lands in the same bucket.
                     surv.push(r as u32);
                 }
             }
@@ -1255,38 +1236,76 @@ impl<'a> IntraStageTuner<'a> {
             g0 = g1;
         }
     }
+}
 
-    /// The interpreter's row-by-row reference sweep, one `(zero,
-    /// offload)` group at a time: the 22-root stage program is
-    /// specialized once per group via the shared [`Specializer`] cache
-    /// (the group knobs vanish from the residual), each group's batch
-    /// varies only `L`/`ckpt`, and every evaluated row is classified by
-    /// [`Self::classify_row`].
+/// Shortcoming #1's serial predictor: `t` is the plain sum of the
+/// stable streams, `d` the plain sum of the first/last extras.
+fn serial_times(
+    fwd: [f64; 4],
+    bwd: [f64; 4],
+    first_extra: [f64; 4],
+    last_extra: [f64; 4],
+) -> (f64, f64) {
+    let sum = |s: [f64; 4]| s.iter().sum::<f64>();
+    (sum(fwd) + sum(bwd), sum(first_extra) + sum(last_extra))
+}
+
+/// Smallest `ckpt ∈ [0, l]` whose (linear-in-ckpt) peak memory fits the
+/// budget; `f64::INFINITY` when even full recomputation does not fit.
+fn minimal_ckpt(m0: f64, m1: f64, ml: f64, l: u32, budget: f64) -> f64 {
+    if m0 <= budget {
+        return 0.0;
+    }
+    if ml > budget {
+        return f64::INFINITY;
+    }
+    if m1 <= budget || l == 1 {
+        return 1.0;
+    }
+    // Memory falls linearly from m1 (ckpt=1) to ml (ckpt=l).
+    let slope = (m1 - ml) / (l as f64 - 1.0);
+    debug_assert!(slope >= 0.0, "checkpointing must not increase memory");
+    if slope <= 0.0 {
+        return l as f64;
+    }
+    let need = ((m1 - budget) / slope).ceil() + 1.0;
+    need.clamp(1.0, l as f64)
+}
+
+/// The test-only reference sweep the columnar sweep is checked against.
+#[cfg(test)]
+impl IntraStageTuner<'_> {
+    /// Sweeps through [`Self::sweep_reference`] instead of the columnar
+    /// sweep.
+    pub(crate) fn with_reference_sweep(mut self) -> Self {
+        self.reference_sweep = true;
+        self
+    }
+
+    /// The row-by-row reference sweep, one `(zero, offload)` group at a
+    /// time: the generic 22-root stage program and `mem_pair` run
+    /// through the [`Program`](mist_symbolic::Program) interpreter with
+    /// the group knobs bound as scalars, each group's batch varies only
+    /// `L`/`ckpt`, and every evaluated row is classified by
+    /// [`Self::classify_row`]. No memory-first filter, no survivor
+    /// compaction, no dominance prefilter and no compiled backend.
     #[allow(clippy::too_many_arguments)]
-    fn sweep_interpreted(
+    fn sweep_reference(
         &self,
         cand: &StageCandidate,
         tapes: &StageTapes,
         key: FrontierKey,
         retained: &[u32],
         per_l: &mut [Vec<ParetoPoint>],
-        ws: &mut EvalWorkspace,
         tally: &mut SweepTally,
         flags: &mut LayerFlags,
     ) {
+        let mut ws = mist_symbolic::EvalWorkspace::new();
         let nr = retained.len();
         let ls: Vec<f64> = retained.iter().map(|&l| f64::from(l)).collect();
-        let frozen_ckpt = match self.space.ckpt {
-            CkptMode::None => Some(0),
-            CkptMode::Full | CkptMode::Tuned => None,
-        };
         for &z in self.space.zero_levels() {
             for off in self.space.offload_combos() {
-                let frozen = sweep_frozen_symbols(z, off, key.inflight, frozen_ckpt);
-                // One row per retained layer count. The frozen symbols
-                // are bound too: specialization removes them from the
-                // residual table, but an extra binding is free and
-                // keeps the batch valid for any residual shape.
+                // One row per retained layer count.
                 let mut batch = BatchBindings::new(nr);
                 batch.set_values("L", ls.clone());
                 batch.set_scalar("zero", f64::from(z));
@@ -1297,24 +1316,16 @@ impl<'a> IntraStageTuner<'a> {
                 batch.set_scalar("inflight", f64::from(key.inflight));
 
                 // Resolve the checkpoint count per row through the
-                // two-root `mem_pair` residual (peak memory only — no
+                // two-root `mem_pair` program (peak memory only — no
                 // need to evaluate all 22 roots for the feasibility
                 // probes).
                 let ckpt_col: Vec<f64> = match self.space.ckpt {
                     CkptMode::None => vec![0.0; nr],
                     CkptMode::Full => ls.clone(),
                     CkptMode::Tuned => {
-                        let mem =
-                            self.specializer
-                                .specialized(&tapes.mem_pair, &frozen, &self.domains);
                         let mut mem_at = |ckpt_of: &dyn Fn(f64) -> f64| -> Vec<f64> {
                             batch.set_values("ckpt", ls.iter().map(|&l| ckpt_of(l)).collect());
-                            mem.eval_batch(&batch, ws).expect("mem_pair program");
-                            ws.output(0)
-                                .iter()
-                                .zip(ws.output(1))
-                                .map(|(&f, &b)| f.max(b))
-                                .collect()
+                            tapes.mem_peak_batch(&batch, &mut ws)
                         };
                         let m0 = mem_at(&|_| 0.0);
                         let m1 = mem_at(&|_| 1.0);
@@ -1336,27 +1347,24 @@ impl<'a> IntraStageTuner<'a> {
 
                 // One pass over all 22 roots at the resolved checkpoint
                 // counts. Rows whose `ckpt` is the `∞` infeasibility
-                // marker are out of the guard-fact domain; they are
-                // discarded below, never read back.
-                let spec = self
-                    .specializer
-                    .specialized(&tapes.program, &frozen, &self.domains);
-                spec.eval_batch(&batch, ws)
-                    .expect("specialized stage program");
+                // marker are discarded below, never read back.
+                tapes
+                    .eval_batch_fused(&batch, &mut ws)
+                    .expect("stage program");
                 for (i, &l) in retained.iter().enumerate() {
                     let ckpt = ckpt_col[i];
                     if ckpt.is_infinite() {
                         tally.oom += 1;
                         continue; // No feasible checkpoint count.
                     }
-                    let point = tapes.point_at(ws, i);
+                    let point = tapes.point_at(&ws, i);
                     self.classify_row(cand, key, i, l, z, off, ckpt, point, per_l, tally, flags);
                 }
             }
         }
     }
 
-    /// The interpreter's tail for one evaluated sweep row: the
+    /// The reference sweep's tail for one evaluated row: the
     /// conservative budget re-check, the time/imbalance predictor, and
     /// the feasible-point append. `i` indexes the retained layer counts
     /// (for the per-layer outcome flags), `l` is the layer count itself.
@@ -1414,40 +1422,6 @@ impl<'a> IntraStageTuner<'a> {
             point,
         });
     }
-}
-
-/// Shortcoming #1's serial predictor: `t` is the plain sum of the
-/// stable streams, `d` the plain sum of the first/last extras.
-fn serial_times(
-    fwd: [f64; 4],
-    bwd: [f64; 4],
-    first_extra: [f64; 4],
-    last_extra: [f64; 4],
-) -> (f64, f64) {
-    let sum = |s: [f64; 4]| s.iter().sum::<f64>();
-    (sum(fwd) + sum(bwd), sum(first_extra) + sum(last_extra))
-}
-
-/// Smallest `ckpt ∈ [0, l]` whose (linear-in-ckpt) peak memory fits the
-/// budget; `f64::INFINITY` when even full recomputation does not fit.
-fn minimal_ckpt(m0: f64, m1: f64, ml: f64, l: u32, budget: f64) -> f64 {
-    if m0 <= budget {
-        return 0.0;
-    }
-    if ml > budget {
-        return f64::INFINITY;
-    }
-    if m1 <= budget || l == 1 {
-        return 1.0;
-    }
-    // Memory falls linearly from m1 (ckpt=1) to ml (ckpt=l).
-    let slope = (m1 - ml) / (l as f64 - 1.0);
-    debug_assert!(slope >= 0.0, "checkpointing must not increase memory");
-    if slope <= 0.0 {
-        return l as f64;
-    }
-    let need = ((m1 - budget) / slope).ceil() + 1.0;
-    need.clamp(1.0, l as f64)
 }
 
 #[cfg(test)]
@@ -1572,12 +1546,12 @@ mod tests {
         assert!(Arc::ptr_eq(&f1, &f2));
     }
 
-    /// End-to-end exactness of the specialized grouped sweep: every
-    /// frontier point's evaluated [`StagePoint`] must be bit-identical
-    /// to re-evaluating its configuration through the *original* fused
-    /// program's scalar path.
+    /// End-to-end exactness of the columnar sweep: every frontier
+    /// point's evaluated [`StagePoint`] must be bit-identical to
+    /// re-evaluating its configuration through the fused program's
+    /// scalar path.
     #[test]
-    fn specialized_sweep_matches_scalar_reference_exactly() {
+    fn columnar_sweep_matches_scalar_reference_exactly() {
         let c = ctx();
         for space in [SearchSpace::mist(), SearchSpace::megatron()] {
             let tuner =
@@ -1595,41 +1569,9 @@ mod tests {
         }
     }
 
-    #[test]
-    fn specializer_cache_is_shared_across_frontier_keys() {
-        let c = ctx();
-        let space = SearchSpace::mist();
-        // Residual specialization is the interpreter backend's
-        // evaluation strategy (the compiled backend runs the generic
-        // programs and never requests residuals), so pin the
-        // interpreter to test the residual cache's semantics.
-        let tuner = IntraStageTuner::new(&c.model, &c.cluster, &c.db, &space, &c.interference, 8)
-            .with_compiled_eval(false);
-        let k = key(DeviceMesh::new(1, 4), 4);
-        tuner.frontiers(k, 16);
-        let misses_one_key = tuner.specializer().cache_misses();
-        assert!(
-            misses_one_key > 0,
-            "frontier sweep must build residual programs"
-        );
-        assert_eq!(tuner.specializer().cache_hits(), 0);
-        // Growing `max_layers` misses the *frontier* cache and re-runs
-        // the sweep over the same tapes and the same (zero, offload)
-        // groups — every residual program must come out of the
-        // specializer cache instead of being rebuilt.
-        tuner.frontiers(k, 32);
-        assert_eq!(
-            tuner.specializer().cache_misses(),
-            misses_one_key,
-            "recomputation over identical groups must not rebuild residuals"
-        );
-        assert!(tuner.specializer().cache_hits() >= misses_one_key);
-    }
-
-    /// The compiled backend's analog: step tables are content-addressed
-    /// by generic program id, so re-sweeping the same tapes — whether
-    /// for a larger layer cap or another frontier key — never
-    /// recompiles, and the residual cache sees no traffic at all.
+    /// Step tables are content-addressed by program id, so re-sweeping
+    /// the same tapes — whether for a larger layer cap or another
+    /// frontier key — never recompiles.
     #[test]
     fn compile_cache_is_shared_across_frontier_keys() {
         let c = ctx();
@@ -1637,26 +1579,21 @@ mod tests {
         let tuner = IntraStageTuner::new(&c.model, &c.cluster, &c.db, &space, &c.interference, 8);
         let k = key(DeviceMesh::new(1, 4), 4);
         tuner.frontiers(k, 16);
-        let misses_one_key = tuner.specializer().compile_misses();
-        assert!(misses_one_key > 0, "compiled sweep must build step tables");
-        assert_eq!(
-            tuner.specializer().cache_misses(),
-            0,
-            "the compiled backend must not pay for residual specialization"
-        );
+        let misses_one_key = tuner.compile_cache().misses();
+        assert!(misses_one_key > 0, "the sweep must build step tables");
         tuner.frontiers(k, 32);
         assert_eq!(
-            tuner.specializer().compile_misses(),
+            tuner.compile_cache().misses(),
             misses_one_key,
             "recomputation over identical tapes must not recompile"
         );
-        assert!(tuner.specializer().compile_hits() >= misses_one_key);
+        assert!(tuner.compile_cache().hits() >= misses_one_key);
     }
 
-    /// Backend equivalence: the columnar sweep (batched checkpoint
-    /// probes, memory-first filter, survivor compaction, dominance
-    /// prefilter) must be invisible next to the interpreter's row-by-row
-    /// reference. The matrix covers every space shape the sweep branches
+    /// Sweep equivalence: the columnar sweep (compiled programs, batched
+    /// checkpoint probes, memory-first filter, survivor compaction,
+    /// dominance prefilter) must be invisible next to the row-by-row
+    /// interpreter reference of [`IntraStageTuner::sweep_reference`]. The matrix covers every space shape the sweep branches
     /// on — tuned, full and no checkpointing, the fine grid (several
     /// batches per candidate) and the serial predictor — at a tight
     /// budget (whole rows OOM, so the filter compacts batches) and at the
@@ -1696,8 +1633,8 @@ mod tests {
         let mut pruned = 0;
         for space in &spaces {
             for budget in [8e9, c.cluster.gpu.memory_bytes] {
-                let run = |compiled: bool| {
-                    let t = IntraStageTuner::new(
+                let run = |reference: bool| {
+                    let mut t = IntraStageTuner::new(
                         &c.model,
                         &c.cluster,
                         &c.db,
@@ -1705,8 +1642,10 @@ mod tests {
                         &c.interference,
                         8,
                     )
-                    .with_budget(budget)
-                    .with_compiled_eval(compiled);
+                    .with_budget(budget);
+                    if reference {
+                        t = t.with_reference_sweep();
+                    }
                     let fr = t.frontiers_batch(&keys, c.model.num_layers);
                     let fr: Vec<&Vec<Vec<ParetoPoint>>> = fr.iter().map(|f| f.as_ref()).collect();
                     let r = t.rejections();
@@ -1721,9 +1660,9 @@ mod tests {
                         ],
                         serde_json::to_string(&t.export_frontiers()).unwrap(),
                     );
-                    (outcome, t.specializer().compile_misses())
+                    (outcome, t.compile_cache().misses())
                 };
-                let ((reference, ref_compiles), (columnar, compiles)) = (run(false), run(true));
+                let ((reference, ref_compiles), (columnar, compiles)) = (run(true), run(false));
                 let case = format!("space {}, budget {budget:e}", space.name);
                 assert!(reference.1 > 0, "{case}: nothing evaluated");
                 assert_eq!(reference.0, columnar.0, "{case}: frontiers differ");
@@ -1739,10 +1678,10 @@ mod tests {
                 if budget < c.cluster.gpu.memory_bytes {
                     assert!(columnar.2[0] > 0, "{case}: the tight budget must OOM rows");
                 }
-                assert!(compiles > 0, "{case}: compiled sweeps build step tables");
+                assert!(compiles > 0, "{case}: columnar sweeps build step tables");
                 assert_eq!(
                     ref_compiles, 0,
-                    "{case}: interpreted sweeps must never touch the compiled backend"
+                    "{case}: the reference must never touch the compiled backend"
                 );
                 pruned += columnar.2[3];
             }

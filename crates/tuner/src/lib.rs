@@ -21,13 +21,13 @@
 //! presets — the methodology behind the paper's Fig. 13 breakdown.
 
 mod certify;
+mod compile_cache;
 mod driver;
 mod inter;
 mod intra;
 mod pareto;
 mod seed;
 mod space;
-mod specialize;
 
 pub use certify::{certify_plan, CertBound, CertReport, PlanCertificate, StageCert};
 pub use driver::{TuneOutcome, TuneStats, Tuner};
@@ -39,4 +39,3 @@ pub use intra::{FrontierKey, IntraStageTuner, ParetoPoint};
 pub use pareto::{pareto_frontier, sample_frontier};
 pub use seed::{BudgetProof, FrontierExport, FrontierRecord, SeedCandidate};
 pub use space::{CkptMode, SearchSpace};
-pub use specialize::Specializer;

@@ -13,18 +13,18 @@
 #      packages explicitly)
 #   5. golden drift: regenerate the two cheap committed result files and
 #      fail if any deterministic field changed (wall-clock-only fields
-#      are ignored) or if fused/specialized/compiled evaluation
-#      throughput drops more than 10% below the committed
-#      bench_symbolic.json baseline (see scripts/golden_diff.py)
+#      are ignored) or if the fused interpreter's or the compiled stage
+#      program's throughput at 10 000 rows drops more than 10% below the
+#      committed bench_symbolic.json baseline (see scripts/golden_diff.py)
 #   6. provenance digest drift: tune GPT-3 6.7B with --journal, run
 #      `mist-cli explain --json` over the decision journal, and compare
 #      against the committed results/explain_gpt3_6_7b.json snapshot
 #      (the `timing` subtree is stripped; everything else — coverage
 #      accounting, rejection histogram, runner-ups, frontier digests —
 #      is deterministic at any thread count)
-#   7. IR lint: run the mist-irlint static analyzer over the fused stage
-#      programs of every model preset, plus the per-sweep specialized
-#      residuals at the corner (zero, offload) groups; any
+#   7. IR lint: run the mist-irlint static analyzer over the generic
+#      stage programs the tuner sweeps (the fused 22-root program and
+#      the two-root memory pair) of every model preset; any
 #      error-severity diagnostic (unit mismatch, reachable division by
 #      zero, a cost root not provably finite and non-negative) fails
 #      the gate
@@ -43,10 +43,10 @@
 #      fewer configs, and the daemon must shut down cleanly (the EXIT
 #      trap kills it if the stage fails first); responses and daemon
 #      logs land in artifacts/daemon/
-#  10. history: append this run's fused/specialized/compiled evaluation
-#      throughput, the 6.7B tuning time and configs-evaluated count,
-#      and the daemon's cold/hit/warm query timings to
-#      results/history.jsonl so perf trends are visible across commits
+#  10. history: append this run's fused and compiled evaluation
+#      throughput (with the compiled program's step count), the 6.7B
+#      tuning time and configs-evaluated count, and the daemon's
+#      cold/hit/warm query timings to results/history.jsonl so perf trends are visible across commits
 #      (append-only; commit the new line with your change). Runs last,
 #      after every gate has passed, so only green runs are recorded;
 #      the candidate entry must also pass `golden_diff.py --trend`
@@ -263,8 +263,8 @@ entry = {
     "utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     "commit": commit,
     "fused_rows_per_sec": bench.get("fused_rows_per_sec"),
-    "specialized_rows_per_sec": bench.get("specialized_rows_per_sec"),
     "compiled_rows_per_sec": bench.get("compiled_rows_per_sec"),
+    "compiled_steps": bench.get("compiled_steps"),
     "tune_gpt3_6_7b_secs": tune.get("tuning_seconds"),
     "tune_gpt3_6_7b_configs": tune.get("configs_evaluated"),
     "query_cold_secs": query_secs("cold32"),

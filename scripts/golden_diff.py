@@ -14,7 +14,8 @@ Throughput fields are an exception to the "timing varies" rule: they
 are excluded from exact equality, but a regenerated throughput more
 than 10% below the committed baseline fails the check — the committed
 bench_symbolic.json doubles as the performance baseline for the fused
-and specialized evaluation engines.
+interpreter and the compiled stage program at 10 000 rows (the 30- and
+256-row points of the compiled curve are reported, not gated).
 
 --trend validates the last line of a candidate history JSONL file: the
 planner daemon's warm-start query must be strictly faster than its
@@ -26,8 +27,9 @@ must not exceed the last committed entry's: monotonicity-licensed
 pruning and warm-starting only ever shrink the enumerated space, so a
 configs-evaluated count that grows is a pruning regression. The
 candidate's `compiled_rows_per_sec` must also stay within 10% of the
-last committed entry's (skipped when the committed history predates
-the compiled backend and lacks the field).
+last committed entry's when both timed the same program, i.e. carry
+the same `compiled_steps` (skipped when the committed entry predates
+the field or timed a different program).
 """
 
 import json
@@ -61,19 +63,17 @@ TIMING_FIELDS = {
     "fused_program_ns_per_batch",
     "fused_speedup",
     "fused_rows_per_sec",
-    "specialized_ns_per_batch",
-    "specialized_speedup",
-    "specialized_rows_per_sec",
     "compiled_ns_per_batch",
     "compiled_speedup",
     "compiled_rows_per_sec",
+    "compiled_rows_per_sec_b30",
+    "compiled_rows_per_sec_b256",
 }
 
 # Rows/sec fields gated against regression: the regenerated value may
 # wobble run to run, but must stay within 10% of the committed baseline.
 THROUGHPUT_FIELDS = (
     "fused_rows_per_sec",
-    "specialized_rows_per_sec",
     "compiled_rows_per_sec",
 )
 THROUGHPUT_TOLERANCE = 0.9
@@ -180,8 +180,13 @@ def check_trend(path, baseline_path=None):
                 f"    trend ok: configs_evaluated {fresh} <= committed "
                 f"baseline {base}"
             )
+        # Throughput is comparable only between runs that timed the same
+        # program; `compiled_steps` identifies it.
+        same_program = baseline is not None and baseline.get(
+            "compiled_steps"
+        ) == entry.get("compiled_steps")
         base_rps = (
-            baseline.get("compiled_rows_per_sec") if baseline else None
+            baseline.get("compiled_rows_per_sec") if same_program else None
         )
         fresh_rps = entry.get("compiled_rows_per_sec")
         if base_rps is not None and fresh_rps is not None:
