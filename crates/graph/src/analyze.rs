@@ -334,9 +334,9 @@ impl StagePoint {
         self.mem_fwd.max(self.mem_bwd)
     }
 
-    /// Reorders a stream array into the interference model's
-    /// `[compute, nccl, h2d, d2h]` convention.
-    pub fn interference_tuple(streams: [f64; 4]) -> [f64; 4] {
+    /// Reorders a stream array (values, or columns of them) into the
+    /// interference model's `[compute, nccl, h2d, d2h]` convention.
+    pub fn interference_tuple<T: Copy>(streams: [T; 4]) -> [T; 4] {
         [streams[0], streams[1], streams[3], streams[2]]
     }
 }

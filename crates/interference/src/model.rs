@@ -111,8 +111,16 @@ impl InterferenceModel {
     /// set of still-busy streams, apply its slowdown factors, consume the
     /// smallest scaled remaining time as fully-overlapped progress, and
     /// drop the exhausted stream; the final lone stream runs undisturbed.
+    /// [`Self::predict_columns`] runs the same arithmetic over a batch.
+    ///
+    /// Every input is accepted. A stream is busy iff its time is `> 0`;
+    /// `0`, `−0.0`, negative and NaN times are idle streams: they take no
+    /// part in the overlap rounds and enter the result only through the
+    /// final sum, so a NaN input yields a NaN time and a negative one
+    /// lowers it. A `+∞` stream is busy and never finishes, so the time
+    /// is `+∞` (or NaN beside a NaN or `−∞` idle stream) — never a finite
+    /// value callers could mistake for a real prediction.
     pub fn predict(&self, x: [f64; NUM_STREAMS]) -> f64 {
-        debug_assert!(x.iter().all(|v| v.is_finite() && *v >= 0.0));
         let mut x = x;
         let mut total = 0.0;
         loop {
@@ -135,54 +143,6 @@ impl InterferenceModel {
                     x[i] = (x[i] * f[i] - overlap).max(0.0) / f[i];
                     if x[i] < 1e-15 {
                         x[i] = 0.0;
-                    }
-                }
-            }
-        }
-    }
-
-    /// Batched Algorithm 1, exactly as printed in the paper: iterates
-    /// concurrency levels `n = 4 → 2`, and for each of the `C(4, n)`
-    /// stream combinations updates *all* rows whose live-stream pattern
-    /// matches that combination. Returns one wall-clock time per row.
-    pub fn predict_batch(&self, rows: &[[f64; NUM_STREAMS]]) -> Vec<f64> {
-        let mut x: Vec<[f64; NUM_STREAMS]> = rows.to_vec();
-        let mut t = vec![0.0f64; rows.len()];
-        for n in (2..=NUM_STREAMS as u32).rev() {
-            for mask in 1u8..(1 << NUM_STREAMS) {
-                if mask.count_ones() != n {
-                    continue;
-                }
-                self.update_mask(&mut x, &mut t, mask);
-            }
-        }
-        for (ti, xi) in t.iter_mut().zip(&x) {
-            *ti += xi.iter().sum::<f64>();
-        }
-        t
-    }
-
-    /// `Update` from Algorithm 1 for one mask, applied until no row
-    /// matches it any more (consuming one overlap chunk may leave the row
-    /// still matching a *smaller* mask, which later iterations handle).
-    fn update_mask(&self, x: &mut [[f64; NUM_STREAMS]], t: &mut [f64], mask: u8) {
-        let f = &self.factors[mask as usize];
-        for (row, trow) in x.iter_mut().zip(t.iter_mut()) {
-            if live_mask(row) != mask {
-                continue;
-            }
-            let mut overlap = f64::INFINITY;
-            for i in 0..NUM_STREAMS {
-                if mask & (1 << i) != 0 {
-                    overlap = overlap.min(row[i] * f[i]);
-                }
-            }
-            *trow += overlap;
-            for i in 0..NUM_STREAMS {
-                if mask & (1 << i) != 0 {
-                    row[i] = (row[i] * f[i] - overlap).max(0.0) / f[i];
-                    if row[i] < 1e-15 {
-                        row[i] = 0.0;
                     }
                 }
             }
@@ -278,22 +238,59 @@ mod tests {
     #[test]
     fn batch_matches_scalar() {
         let m = InterferenceModel::pcie_defaults();
-        let rows = vec![
+        let rows = [
             [10e-3, 4e-3, 3e-3, 2e-3],
             [1e-3, 0.0, 0.0, 0.0],
             [0.0, 2e-3, 2e-3, 0.0],
             [5e-3, 5e-3, 5e-3, 5e-3],
             [0.0; 4],
+            [3e-3, 1e-3, 0.0, 2e-3],
+            [2e-3, 0.0, 1e-3, 4e-3],
+            [7e-3, 6e-3, 5e-3, 0.0],
+            [9e-3, 1e-3, 1e-3, 1e-3],
         ];
-        let batch = m.predict_batch(&rows);
+        let cols: [Vec<f64>; NUM_STREAMS] =
+            std::array::from_fn(|i| rows.iter().map(|r| r[i]).collect());
+        let mut batch = [0.0; 9];
+        m.predict_columns([&cols[0], &cols[1], &cols[2], &cols[3]], &mut batch);
         for (i, row) in rows.iter().enumerate() {
             let scalar = m.predict(*row);
-            assert!(
-                (batch[i] - scalar).abs() < 1e-12,
+            assert_eq!(
+                batch[i].to_bits(),
+                scalar.to_bits(),
                 "row {i}: batch {} vs scalar {scalar}",
                 batch[i]
             );
         }
+    }
+
+    #[test]
+    fn idle_streams_are_zero_negative_and_nan_times() {
+        let m = InterferenceModel::pcie_defaults();
+        let busy = [10e-3, 4e-3, 0.0, 0.0];
+        let t = m.predict(busy);
+        // `−0.0` is as idle as `0.0`.
+        assert_eq!(m.predict([10e-3, 4e-3, -0.0, 0.0]).to_bits(), t.to_bits());
+        // A negative time is idle: no overlap round sees it, the final
+        // sum adds it once.
+        assert!((m.predict([10e-3, 4e-3, -1e-3, 0.0]) - (t - 1e-3)).abs() < 1e-15);
+        assert_eq!(m.predict([-2e-3, 0.0, 0.0, 5e-3]), 5e-3 - 2e-3);
+        // A NaN time is idle in the rounds and poisons the sum.
+        assert!(m.predict([10e-3, 4e-3, f64::NAN, 0.0]).is_nan());
+        assert!(m.predict([f64::NAN; 4]).is_nan());
+        assert_eq!(m.predict([-0.0; 4]), 0.0);
+    }
+
+    #[test]
+    fn infinite_streams_give_non_finite_times() {
+        let m = InterferenceModel::pcie_defaults();
+        let inf = f64::INFINITY;
+        assert_eq!(m.predict([inf, 0.0, 0.0, 0.0]), inf);
+        assert_eq!(m.predict([inf, 4e-3, 1e-3, 0.0]), inf);
+        assert_eq!(m.predict([inf, inf, inf, inf]), inf);
+        assert_eq!(m.predict([1e-3, inf, 0.0, 2e-3]), inf);
+        assert!(m.predict([inf, 0.0, f64::NAN, 0.0]).is_nan());
+        assert!(m.predict([inf, 1e-3, f64::NEG_INFINITY, 0.0]).is_nan());
     }
 
     #[test]

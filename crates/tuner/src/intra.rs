@@ -30,7 +30,8 @@
 //! groups) through the generic compiled stage programs. Checkpoint
 //! probes and the memory-first filter run over the whole batch, the
 //! 22-root program only over the rows that fit, and `(t, d)` comes
-//! straight from the output columns. Only rows that survive an exact
+//! from one columnar pass of the batched interference predictor over
+//! the output columns. Only rows that survive an exact
 //! per-layer dominance prefilter ([`prefilter`]) are materialized as
 //! [`ParetoPoint`]s — a small fraction of the feasible rows.
 //!
@@ -52,7 +53,7 @@ use mist_interference::InterferenceModel;
 use mist_irlint::{monotonicity, root_intervals, DomainMap, SymbolDomain};
 use mist_models::ModelSpec;
 use mist_pool::ThreadPool;
-use mist_schedule::{stage_times, stage_times_of};
+use mist_schedule::{stage_times, stage_times_columns};
 use mist_symbolic::{BatchBindings, CompiledProgram, CompiledWorkspace};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
@@ -172,7 +173,9 @@ pub(crate) struct SweepPhases {
     pub mem_first: f64,
     /// The 22-root stage program over the compacted survivors.
     pub eval: f64,
-    /// `(t, d)` prediction, outcome flags and per-layer bucketing.
+    /// `(t, d)` of the survivors (one columnar pass of the batched
+    /// interference predictor per batch), outcome flags and per-layer
+    /// bucketing.
     pub predict: f64,
     /// The dominance prefilter and `ParetoPoint` materialization.
     pub materialize: f64,
@@ -285,6 +288,18 @@ impl SweepColumns {
     }
 }
 
+/// Scratch one sweep task checks out of the tuner's pool and reuses for
+/// every batch it runs.
+#[derive(Default)]
+struct SweepWorkspace {
+    /// Block registers and output columns of the compiled programs.
+    cws: CompiledWorkspace,
+    /// `t` of the current batch's survivors.
+    t: Vec<f64>,
+    /// `d` of the current batch's survivors.
+    d: Vec<f64>,
+}
+
 /// Per-row peak memory `max(mem_fwd, mem_bwd)` of the compiled two-root
 /// `mem_pair` program over `batch`.
 fn mem_peaks(
@@ -386,11 +401,11 @@ pub struct IntraStageTuner<'a> {
     rejections: RejectionCounters,
     // High-water sampled frontier size across all (key, layer) families.
     frontier_size: mist_telemetry::Gauge,
-    // Reused across batch evaluations: block registers and output
-    // columns are allocated once per concurrent evaluator and recycled
-    // for the whole search. Tasks check a workspace out, use it, and
-    // return it.
-    workspaces: Mutex<Vec<CompiledWorkspace>>,
+    // Reused across batch evaluations: block registers, output columns
+    // and `(t, d)` columns are allocated once per concurrent evaluator
+    // and recycled for the whole search. Tasks check a workspace out,
+    // use it, and return it.
+    workspaces: Mutex<Vec<SweepWorkspace>>,
     // Sweep phase timers, summed over every computed frontier key and
     // tape build (driver publication).
     phases: Mutex<SweepPhases>,
@@ -479,12 +494,12 @@ impl<'a> IntraStageTuner<'a> {
     }
 
     /// Checks a reusable evaluation workspace out of the pool.
-    fn take_workspace(&self) -> CompiledWorkspace {
+    fn take_workspace(&self) -> SweepWorkspace {
         self.workspaces.lock().pop().unwrap_or_default()
     }
 
     /// Returns a workspace for the next task to reuse.
-    fn put_workspace(&self, ws: CompiledWorkspace) {
+    fn put_workspace(&self, ws: SweepWorkspace) {
         self.workspaces.lock().push(ws);
     }
 
@@ -956,7 +971,7 @@ impl<'a> IntraStageTuner<'a> {
         key: FrontierKey,
         max_layers: u32,
         per_l: &mut [Vec<ParetoPoint>],
-        ws: &mut CompiledWorkspace,
+        ws: &mut SweepWorkspace,
         tally: &mut SweepTally,
     ) {
         let rows_per_l =
@@ -1044,9 +1059,11 @@ impl<'a> IntraStageTuner<'a> {
     ///    without running the 22-root program.
     /// 3. One 22-root evaluation over the compacted survivors, in row
     ///    order.
-    /// 4. `(t, d)` per survivor, read straight from the output columns
-    ///    (the [`stage_times`] arithmetic, so bit-identical), plus the
-    ///    conservative budget recheck and the per-layer outcome flags.
+    /// 4. `(t, d)` for all survivors in one columnar pass over the
+    ///    sixteen stream output columns ([`stage_times_columns`]: the
+    ///    batched interference predictor, bit-identical to
+    ///    [`stage_times`]), then per survivor the conservative budget
+    ///    recheck and the per-layer outcome flags.
     /// 5. Per layer count, the dominance [`prefilter`] on `(t, d)`; a
     ///    [`StagePoint`] and [`ParetoPoint`] are built only for its
     ///    survivors.
@@ -1063,7 +1080,7 @@ impl<'a> IntraStageTuner<'a> {
         key: FrontierKey,
         retained: &[u32],
         per_l: &mut [Vec<ParetoPoint>],
-        cws: &mut CompiledWorkspace,
+        ws: &mut SweepWorkspace,
         tally: &mut SweepTally,
         flags: &mut LayerFlags,
     ) {
@@ -1075,6 +1092,7 @@ impl<'a> IntraStageTuner<'a> {
         // of this candidate and by every frontier key that reuses its
         // tapes, so the content-addressed compile cache hits almost
         // always.
+        let SweepWorkspace { cws, t, d } = ws;
         let prog = self.compile_cache.compiled(&tapes.program);
         let mem = self.compile_cache.compiled(&tapes.mem_pair);
         let zeros = self.space.zero_levels();
@@ -1161,44 +1179,37 @@ impl<'a> IntraStageTuner<'a> {
                 .expect("compiled stage program");
             tally.phases.eval += lap(&mut mark);
 
-            // 4. Budget recheck, `(t, d)` and outcome per survivor.
-            let out: [&[f64]; stage_roots::COUNT] = std::array::from_fn(|i| cws.output(i));
+            // 4. `(t, d)` for every survivor, then budget recheck and
+            // outcome per survivor.
+            let n_surv = surv.len();
+            t.resize(n_surv, 0.0);
+            d.resize(n_surv, 0.0);
+            let streams: [&[f64]; 16] = std::array::from_fn(|i| cws.output(stage_roots::FWD + i));
+            if self.space.overlap_aware {
+                stage_times_columns(streams, self.interference, t, d);
+            } else {
+                serial_times_columns(streams, t, d);
+            }
+            let (mem_fwd, mem_bwd) = (
+                cws.output(stage_roots::MEM_FWD),
+                cws.output(stage_roots::MEM_BWD),
+            );
             for (j, &r) in surv.iter().enumerate() {
                 let li = r as usize % nr;
-                let quad = |base: usize| {
-                    [
-                        out[base][j],
-                        out[base + 1][j],
-                        out[base + 2][j],
-                        out[base + 3][j],
-                    ]
-                };
-                let mem_peak = out[stage_roots::MEM_FWD][j].max(out[stage_roots::MEM_BWD][j]);
-                if mem_peak > self.budget {
+                if mem_fwd[j].max(mem_bwd[j]) > self.budget {
                     tally.oom += 1;
                     tally.budget_bound = true;
                     flags.recheck_oom[li] = true;
                     continue; // Conservative re-check of the linear solve.
                 }
-                let (fwd, bwd) = (quad(stage_roots::FWD), quad(stage_roots::BWD));
-                let (first, last) = (
-                    quad(stage_roots::FIRST_EXTRA),
-                    quad(stage_roots::LAST_EXTRA),
-                );
-                let (t, d) = if self.space.overlap_aware {
-                    let st = stage_times_of(fwd, bwd, first, last, self.interference);
-                    (st.t, st.d)
-                } else {
-                    serial_times(fwd, bwd, first, last)
-                };
-                if !t.is_finite() {
+                if !t[j].is_finite() {
                     tally.nonfinite += 1;
                     flags.any_nonfinite[li] = true;
                     continue;
                 }
                 tally.feasible += 1;
                 flags.any_feasible[li] = true;
-                buckets[li].push((t, d));
+                buckets[li].push((t[j], d[j]));
                 bucket_cols[li].push(j as u32);
             }
             tally.phases.predict += lap(&mut mark);
@@ -1248,6 +1259,15 @@ fn serial_times(
 ) -> (f64, f64) {
     let sum = |s: [f64; 4]| s.iter().sum::<f64>();
     (sum(fwd) + sum(bwd), sum(first_extra) + sum(last_extra))
+}
+
+/// [`serial_times`] for every row of the sixteen stream output columns
+/// (root order, as [`stage_times_columns`] takes them).
+fn serial_times_columns(streams: [&[f64]; 16], t: &mut [f64], d: &mut [f64]) {
+    for (r, (tr, dr)) in t.iter_mut().zip(d.iter_mut()).enumerate() {
+        let quad = |base: usize| std::array::from_fn(|k| streams[base + k][r]);
+        (*tr, *dr) = serial_times(quad(0), quad(4), quad(8), quad(12));
+    }
 }
 
 /// Smallest `ckpt ∈ [0, l]` whose (linear-in-ckpt) peak memory fits the
@@ -1687,6 +1707,32 @@ mod tests {
             }
         }
         assert!(pruned > 0, "the matrix must exercise monotone pruning");
+    }
+
+    /// The default PCIe table treats H2D and D2H alike, so the matrix
+    /// above cannot tell the two stream columns apart. Under a table
+    /// that does, the columnar `(t, d)` pass must still match the
+    /// reference's per-point `stage_times` byte for byte.
+    #[test]
+    fn columnar_predictor_keeps_stream_order_under_an_asymmetric_table() {
+        let c = ctx();
+        let asymmetric = InterferenceModel::from_pairwise(|i, j| 1.0 + 0.1 * (4 * i + j) as f64);
+        let space = SearchSpace::mist();
+        let run = |reference: bool| {
+            let mut t = IntraStageTuner::new(&c.model, &c.cluster, &c.db, &space, &asymmetric, 8);
+            if reference {
+                t = t.with_reference_sweep();
+            }
+            let fr = t.frontiers(key(DeviceMesh::new(1, 4), 4), c.model.num_layers);
+            let r = t.rejections();
+            (
+                serde_json::to_string(fr.as_ref()).unwrap(),
+                [r.oom.value(), r.nonfinite.value(), r.dominated.value()],
+            )
+        };
+        let (reference, columnar) = (run(true), run(false));
+        assert!(reference.0.len() > 2, "no frontier points");
+        assert_eq!(reference, columnar);
     }
 
     #[test]
